@@ -294,8 +294,8 @@ def _parse_edges_token_line(text: str) -> EdgeSet:
 
 def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration:
     """Rebuild a checkable configuration from one 'id:status:parent:score:children'
-    line.  Fields the checkers never read (mailbox, contender, out message)
-    take their initial values."""
+    line.  The out message, which the checkers never read, takes its initial
+    value."""
     states = {}
     for token in text.split():
         fields = token.split(":")

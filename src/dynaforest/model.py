@@ -66,17 +66,17 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class NodeState:
-    """Full per-node protocol state after a round."""
+    """Per-node protocol state after a round: what the next round reads.
+
+    `out_message` is the message the node sends at the start of the next
+    round; everything else a step computes is local to that step.
+    """
 
     id: NodeId
     status: Status
     parent: Optional[NodeId]
     children: frozenset
-    neighbors: frozenset
-    contender: Optional[NodeId]
-    contender_score: int
     score: Score
-    mailbox: Mapping[NodeId, Message]
     out_message: Message
 
     def __post_init__(self):
@@ -86,11 +86,6 @@ class NodeState:
             raise ValueError(f"node {self.id} cannot be its own parent")
         if self.parent is not None and self.parent in self.children:
             raise ValueError(f"node {self.id}: parent {self.parent} is also a child")
-        if (self.contender is None) != (self.contender_score == 0):
-            raise ValueError(
-                f"node {self.id}: contender {self.contender} inconsistent with "
-                f"contender_score {self.contender_score}"
-            )
 
 
 @dataclass(frozen=True, slots=True)

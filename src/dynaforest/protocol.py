@@ -1,20 +1,29 @@
 """The per-node automaton: a pure function from (previous state, received
-messages, per-node randomness) to (new state, next outgoing message).
+messages, per-node randomness) to the node's next state.
 
-Each round a node refreshes its neighborhood from the messages it received,
-regenerates a token if its parent link vanished, commits its own pending
-FLIP/SELECT if the target edge survived, processes the mailbox (adopting
-children and scanning for a merge contender), and finally prepares the next
-message.  The steps run in exactly that order; mailbox processing iterates in
-ascending sender id so runs are byte-for-byte reproducible.
+`node_step` is the one implementation of the protocol's rules.  Each round a
+node, in this order:
+
+1. drops the children it heard nothing from (their edge vanished);
+2. regenerates a token if its parent link vanished;
+3. commits its own pending FLIP/SELECT if the target edge survived; a FLIP
+   also takes the smaller of the two swapped scores;
+4. processes the received messages in ascending sender id: the sender of a
+   FLIP/SELECT aimed at it becomes a child (a FLIP also hands over the token
+   and the larger score); among the others, the token holder with the
+   greatest score is the merge contender;
+5. prepares the next message: a SELECT to a contender with a greater score,
+   else a FLIP to a random child (a lazy root may rest instead), else a HELLO.
+
+The mailbox and the contender live only for one step.  Scores are unique
+network-wide, so the contender scan never meets a tie.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import Action, Message, NodeId, NodeState, Status
 
@@ -51,12 +60,6 @@ class NodeRng:
     def choice(self, seq):
         return self._rng.choice(seq)
 
-    def getstate(self):
-        return self._rng.getstate()
-
-    def setstate(self, state) -> None:
-        self._rng.setstate(state)
-
 
 def initial_state(node_id: NodeId) -> NodeState:
     """Uniform initial state: every node is the root of its own tree."""
@@ -65,84 +68,9 @@ def initial_state(node_id: NodeId) -> NodeState:
         status=Status.T,
         parent=None,
         children=frozenset(),
-        neighbors=frozenset(),
-        contender=None,
-        contender_score=0,
         score=node_id,
-        mailbox={},
         out_message=Message(node_id, Status.T, Action.HELLO, None, node_id),
     )
-
-
-def become_root(state: NodeState) -> NodeState:
-    """Take (or regenerate) the token; children are kept."""
-    return replace(state, status=Status.T, parent=None)
-
-
-def adopt_parent(
-    state: NodeState, out: Message, mailbox: Mapping[NodeId, Message]
-) -> NodeState:
-    """Commit a successful FLIP or SELECT: the target becomes our parent.
-
-    On a FLIP the target leaves our children and we take the smaller of our
-    score and the score the new parent announced this round.
-    """
-    if out.action not in (Action.FLIP, Action.SELECT):
-        raise ValueError(f"adopt_parent on a {out.action.value} message")
-    parent = out.target
-    if out.action is Action.FLIP:
-        entry = mailbox.get(parent)
-        if entry is None:
-            raise ProtocolFault(
-                f"node {state.id}: successful FLIP to {parent} but no message "
-                f"from it this round (reciprocity broken)"
-            )
-        return replace(
-            state,
-            status=Status.N,
-            parent=parent,
-            children=state.children - {parent},
-            score=min(state.score, entry.score),
-        )
-    return replace(state, status=Status.N, parent=parent)
-
-
-def adopt_child(state: NodeState, msg: Message) -> NodeState:
-    """Register the sender of a FLIP/SELECT aimed at us as a child.
-
-    On a FLIP we also take the larger of our score and the announced one,
-    completing the two-sided score swap.
-    """
-    if msg.target != state.id:
-        raise ValueError(f"adopt_child of a message targeted at {msg.target}")
-    children = state.children | {msg.sender}
-    if msg.action is Action.FLIP:
-        return replace(state, children=children, score=max(state.score, msg.score))
-    return replace(state, children=children)
-
-
-def choose_contender(
-    state: NodeState, received: Sequence[Message]
-) -> tuple[Optional[NodeId], int]:
-    """Best merge candidate: the token-holding sender with the greatest score.
-
-    Only messages not targeted at us count (targeted ones are child
-    adoptions).  Scores are unique network-wide so ties cannot happen; a
-    hypothetical tie would break toward the larger sender id.
-    """
-    contender: Optional[NodeId] = None
-    contender_score = 0
-    for msg in received:
-        if msg.target == state.id:
-            continue
-        if msg.sender_status is not Status.T:
-            continue
-        if msg.score > contender_score or (
-            msg.score == contender_score and contender is not None and msg.sender > contender
-        ):
-            contender = msg.sender
-            contender_score = msg.score
-    return contender, contender_score
 
 
 def choose_flip_target(children: frozenset, rng: NodeRng) -> NodeId:
@@ -150,13 +78,6 @@ def choose_flip_target(children: frozenset, rng: NodeRng) -> NodeId:
     if not children:
         raise ValueError("cannot pick a flip target from an empty children set")
     return rng.choice(sorted(children))
-
-
-def prepare_message(
-    state: NodeState, action: Action, target: Optional[NodeId] = None
-) -> Message:
-    """Build the next outgoing message from the current state."""
-    return _make_message(state.id, state.status, state.score, action, target)
 
 
 def _make_message(
@@ -212,7 +133,7 @@ def node_step(
 
     # Process the mailbox: adopt children, scan for a contender.
     contender: Optional[NodeId] = None
-    contender_score = 0
+    best_score = 0
     for sender, msg in sorted(mailbox.items()):
         if msg.target == nid:
             if msg.action is act_flip:
@@ -227,17 +148,14 @@ def node_step(
                 )
             else:
                 children.add(sender)
-        elif msg.sender_status is status_t and (
-            msg.score > contender_score
-            or (msg.score == contender_score and contender is not None and sender > contender)
-        ):
+        elif msg.sender_status is status_t and msg.score > best_score:
             contender = sender
-            contender_score = msg.score
+            best_score = msg.score
 
     # Prepare the next message.
     out_msg = None
     if status is status_t:
-        if contender_score > score:
+        if best_score > score:
             out_msg = _make_message(nid, status, score, Action.SELECT, contender)
         elif children:
             if lazy and rng.random() < rest_probability:
@@ -253,10 +171,6 @@ def node_step(
         status=status,
         parent=parent,
         children=frozenset(children),
-        neighbors=frozenset(mailbox),
-        contender=contender,
-        contender_score=contender_score,
         score=score,
-        mailbox=mailbox,
         out_message=out_msg,
     )

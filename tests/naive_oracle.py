@@ -69,7 +69,7 @@ class NaiveNode:
 
     # -- one compute phase ----------------------------------------------------
 
-    def compute(self, rng, lazy):
+    def compute(self, rng, lazy, rest_probability):
         self.neighbors = set(self.mailbox.keys())
         self.children &= self.neighbors
 
@@ -97,7 +97,7 @@ class NaiveNode:
             if self.contender_score > self.score:
                 self.prepare_message(SELECT, self.contender)
             elif self.children:
-                if lazy and rng.random() < LAZY_REST_PROBABILITY:
+                if lazy and rng.random() < rest_probability:
                     pass
                 else:
                     self.prepare_message(FLIP, rng.choice(sorted(self.children)))
@@ -106,10 +106,11 @@ class NaiveNode:
 
 
 class NaiveSimulation:
-    def __init__(self, vertices, seed, lazy=False):
+    def __init__(self, vertices, seed, lazy=False, rest_probability=LAZY_REST_PROBABILITY):
         self.nodes = {v: NaiveNode(v) for v in sorted(vertices)}
         self.rngs = {v: NodeRng(seed, v) for v in sorted(vertices)}
         self.lazy = lazy
+        self.rest_probability = rest_probability
 
     def round(self, edges):
         outgoing = {v: node.out_message for v, node in self.nodes.items()}
@@ -119,19 +120,16 @@ class NaiveSimulation:
             self.nodes[u].mailbox[v] = outgoing[v]
             self.nodes[v].mailbox[u] = outgoing[u]
         for v in sorted(self.nodes):
-            self.nodes[v].compute(self.rngs[v], self.lazy)
+            self.nodes[v].compute(self.rngs[v], self.lazy, self.rest_probability)
 
     def snapshot(self):
-        """Comparable view: one tuple per node."""
+        """Comparable view: one tuple per node, over the fields the engine keeps."""
         view = {}
         for v, node in sorted(self.nodes.items()):
             view[v] = (
                 node.status,
                 node.parent,
                 frozenset(node.children),
-                frozenset(node.neighbors),
-                node.contender,
-                node.contender_score,
                 node.score,
                 node.out_message.as_tuple(),
             )
@@ -147,9 +145,6 @@ def engine_snapshot(config):
             st.status.value,
             st.parent,
             frozenset(st.children),
-            frozenset(st.neighbors),
-            st.contender,
-            st.contender_score,
             st.score,
             (out.sender, out.sender_status.value, out.action.value, out.target, out.score),
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,11 +26,7 @@ def make_state(nid, status=Status.T, parent=None, children=(), score=None, out_m
         status=status,
         parent=parent,
         children=frozenset(children),
-        neighbors=frozenset(),
-        contender=None,
-        contender_score=0,
         score=score,
-        mailbox={},
         out_message=out_message,
     )
 
@@ -88,20 +86,9 @@ class TestNodeStateInvariants:
         with pytest.raises(ValueError):
             make_state(1, status=Status.N, parent=1)
 
-    def test_contender_sentinel_pairing(self):
-        with pytest.raises(ValueError):
-            NodeState(
-                id=1,
-                status=Status.T,
-                parent=None,
-                children=frozenset(),
-                neighbors=frozenset(),
-                contender=None,
-                contender_score=5,
-                score=1,
-                mailbox={},
-                out_message=Message(1, Status.T, Action.HELLO, None, 1),
-            )
+    def test_holds_only_what_next_round_reads(self):
+        names = [f.name for f in dataclasses.fields(NodeState)]
+        assert names == ["id", "status", "parent", "children", "score", "out_message"]
 
     def test_configuration_key_must_match_state(self):
         with pytest.raises(ValueError):

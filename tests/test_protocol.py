@@ -1,18 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynaforest.model import Action, Message, Status
 from dynaforest.protocol import (
     NodeRng,
     ProtocolFault,
-    adopt_child,
-    adopt_parent,
-    become_root,
-    choose_contender,
     choose_flip_target,
     initial_state,
     node_step,
-    prepare_message,
 )
 
 from test_model import make_state
@@ -23,6 +18,11 @@ FLIP, SELECT, HELLO = Action.FLIP, Action.SELECT, Action.HELLO
 
 def hello(sender, status, score):
     return Message(sender, status, HELLO, None, score)
+
+
+def step(prev, received):
+    """One non-lazy node_step with the node's own stream for seed 0."""
+    return node_step(prev, received, NodeRng(0, prev.id))
 
 
 class TestInitialState:
@@ -36,9 +36,6 @@ class TestInitialState:
         st1 = initial_state(1)
         assert st1.parent is None
         assert st1.children == frozenset()
-        assert st1.neighbors == frozenset()
-        assert st1.mailbox == {}
-        assert st1.contender is None and st1.contender_score == 0
 
     @given(st.integers(1, 10_000))
     def test_state_consistency_holds(self, nid):
@@ -47,113 +44,115 @@ class TestInitialState:
 
 
 class TestBecomeRoot:
+    """Token regeneration: a node whose parent sent nothing becomes a root."""
+
     def test_keeps_children(self):
         state = make_state(1, status=N, parent=8, children={5})
-        out = become_root(state)
+        out = step(state, [hello(5, N, 5)])
         assert out.status is T and out.parent is None
         assert out.children == frozenset({5})
 
     def test_idempotent_on_roots(self):
         state = make_state(3)
-        assert become_root(state) == state
+        assert step(state, []) == state
 
     def test_score_untouched(self):
         state = make_state(2, status=N, parent=3, score=7)
-        assert become_root(state).score == 7
+        assert step(state, []).score == 7
 
 
 class TestAdoptParent:
+    """Committing our own FLIP/SELECT when its target is still a neighbor."""
+
     def test_flip_takes_min_score_and_drops_child(self):
-        state = make_state(5, children={2, 9}, score=8)
-        out_msg = prepare_message(state, FLIP, 2)
-        mailbox = {2: hello(2, N, 2)}
-        adopted = adopt_parent(state, out_msg, mailbox)
+        state = make_state(5, children={2, 9}, score=8, out_message=Message(5, T, FLIP, 2, 8))
+        adopted = step(state, [hello(2, N, 2), hello(9, N, 9)])
         assert adopted.status is N and adopted.parent == 2
         assert adopted.children == frozenset({9})
         assert adopted.score == 2
 
     def test_select_keeps_children_and_score(self):
-        state = make_state(2, children={7}, score=2)
-        out_msg = prepare_message(state, SELECT, 8)
-        adopted = adopt_parent(state, out_msg, {8: hello(8, T, 8)})
+        state = make_state(2, children={7}, score=2, out_message=Message(2, N, SELECT, 8, 2))
+        adopted = step(state, [hello(7, N, 7), hello(8, T, 8)])
         assert adopted.status is N and adopted.parent == 8
         assert adopted.children == frozenset({7})
         assert adopted.score == 2
 
     def test_flip_min_identity_when_parent_announces_more(self):
-        state = make_state(4, children={9}, score=5)
-        out_msg = prepare_message(state, FLIP, 9)
-        adopted = adopt_parent(state, out_msg, {9: hello(9, N, 9)})
+        state = make_state(4, children={9}, score=5, out_message=Message(4, T, FLIP, 9, 5))
+        adopted = step(state, [hello(9, N, 9)])
         assert adopted.score == 5
 
-    def test_missing_mailbox_entry_is_a_fault(self):
-        state = make_state(4, children={9}, score=5)
-        out_msg = prepare_message(state, FLIP, 9)
-        with pytest.raises(ProtocolFault):
-            adopt_parent(state, out_msg, {})
+    def test_flip_cancelled_when_target_sent_nothing(self):
+        state = make_state(4, children={9}, score=5, out_message=Message(4, T, FLIP, 9, 5))
+        out = step(state, [])
+        assert out.status is T and out.parent is None
+        assert out.children == frozenset()
+        assert out.out_message == Message(4, T, HELLO, None, 5)
 
 
 class TestAdoptChild:
+    """The sender of a FLIP/SELECT aimed at us becomes a child."""
+
     def test_flip_takes_max_score(self):
         state = make_state(2, score=2)
-        msg = Message(8, T, FLIP, 2, 8)
-        adopted = adopt_child(state, msg)
+        adopted = step(state, [Message(8, T, FLIP, 2, 8)])
         assert 8 in adopted.children
         assert adopted.score == 8
 
     def test_select_keeps_score(self):
         state = make_state(4, score=4)
-        msg = Message(9, N, SELECT, 4, 9)
-        adopted = adopt_child(state, msg)
+        adopted = step(state, [Message(9, N, SELECT, 4, 9)])
         assert 9 in adopted.children
         assert adopted.score == 4
 
     def test_flip_max_identity_when_sender_announces_less(self):
         state = make_state(6, score=6)
-        msg = Message(3, T, FLIP, 6, 1)
-        assert adopt_child(state, msg).score == 6
+        assert step(state, [Message(3, T, FLIP, 6, 1)]).score == 6
 
 
 class TestChooseContender:
+    """The merge contender, seen through the SELECT a root prepares."""
+
     def test_picks_greatest_token_score(self):
-        state = make_state(1)
-        received = [hello(8, T, 8), hello(4, T, 4)]
-        assert choose_contender(state, received) == (8, 8)
+        out = step(make_state(1), [hello(8, T, 8), hello(4, T, 4)])
+        assert out.out_message == Message(1, N, SELECT, 8, 1)
 
     def test_no_token_holders_visible(self):
-        state = make_state(1)
-        received = [hello(2, N, 2), hello(3, N, 3)]
-        assert choose_contender(state, received) == (None, 0)
+        out = step(make_state(1), [hello(2, N, 2), hello(3, N, 3)])
+        assert out.out_message == Message(1, T, HELLO, None, 1)
 
     def test_circulating_token_stays_detectable(self):
         # a FLIP aimed at a third node still announces T
-        state = make_state(1)
-        received = [Message(7, T, FLIP, 3, 7)]
-        assert choose_contender(state, received) == (7, 7)
+        out = step(make_state(1), [Message(7, T, FLIP, 3, 7)])
+        assert out.out_message == Message(1, N, SELECT, 7, 1)
 
     def test_messages_targeted_at_us_are_excluded(self):
-        state = make_state(1)
-        received = [Message(7, T, FLIP, 1, 7), hello(2, T, 2)]
-        assert choose_contender(state, received) == (2, 2)
+        # the FLIP aimed at us is a child adoption, not a merge offer
+        out = step(make_state(1), [Message(7, T, FLIP, 1, 7), hello(2, T, 2)])
+        assert out.children == frozenset({7}) and out.score == 7
+        assert out.out_message == Message(1, T, FLIP, 7, 7)
 
     @given(
         st.lists(
             st.tuples(st.integers(2, 40), st.booleans(), st.integers(1, 99)),
-            unique_by=lambda t: t[0],
-        )
+            unique_by=(lambda t: t[0], lambda t: t[2]),
+        ),
+        st.integers(1, 99),
     )
-    def test_matches_naive_max_scan(self, triples):
-        state = make_state(1)
+    def test_matches_naive_max_scan(self, triples, own_score):
+        # scores are unique network-wide, so no two senders tie
+        assume(all(score != own_score for _, _, score in triples))
         received = [
             hello(sender, T if is_root else N, score) for sender, is_root, score in triples
         ]
-        contender, score = choose_contender(state, received)
+        out = step(make_state(1, score=own_score), received)
         candidates = [(s, sender) for sender, is_root, s in triples if is_root]
-        if not candidates:
-            assert (contender, score) == (None, 0)
+        if candidates and max(candidates)[0] > own_score:
+            best_sender = max(candidates)[1]
+            assert out.out_message == Message(1, N, SELECT, best_sender, own_score)
         else:
-            best_score, best_sender = max(candidates)
-            assert score == best_score and contender == best_sender
+            assert out.out_message == Message(1, T, HELLO, None, own_score)
 
 
 class TestChooseFlipTarget:
@@ -180,17 +179,19 @@ class TestChooseFlipTarget:
 
 
 class TestPrepareMessage:
+    """The fields of the message a step prepares for the next round."""
+
     def test_select_fields(self):
-        state = make_state(2, score=2)
-        assert prepare_message(state, SELECT, 8) == Message(2, N, SELECT, 8, 2)
+        out = step(make_state(2, score=2), [hello(8, T, 8)])
+        assert out.out_message == Message(2, N, SELECT, 8, 2)
 
     def test_flip_fields(self):
-        state = make_state(8, score=8)
-        assert prepare_message(state, FLIP, 2) == Message(8, T, FLIP, 2, 8)
+        out = step(make_state(8, children={2}, score=8), [hello(2, N, 2)])
+        assert out.out_message == Message(8, T, FLIP, 2, 8)
 
     def test_hello_copies_status(self):
-        state = make_state(3, status=N, parent=4, score=3)
-        assert prepare_message(state, HELLO) == Message(3, N, HELLO, None, 3)
+        out = step(make_state(3, status=N, parent=4, score=3), [hello(4, T, 4)])
+        assert out.out_message == Message(3, N, HELLO, None, 3)
 
 
 class TestNodeStep:
@@ -198,13 +199,12 @@ class TestNodeStep:
         prev = make_state(1, children={4})  # stale child, no longer a neighbor
         out = node_step(prev, [], NodeRng(0, 1))
         assert out.status is T and out.parent is None
-        assert out.neighbors == frozenset() and out.children == frozenset()
+        assert out.children == frozenset()
         assert out.out_message == Message(1, T, HELLO, None, 1)
 
     def test_root_spots_contender_and_prepares_select(self):
         prev = initial_state(1)
         out = node_step(prev, [hello(4, T, 4)], NodeRng(0, 1))
-        assert out.contender == 4 and out.contender_score == 4
         assert out.out_message == Message(1, N, SELECT, 4, 1)
 
     def test_token_regeneration_when_parent_disappears(self):
@@ -293,5 +293,5 @@ class TestNodeStep:
         assert out.parent is None or out.parent not in out.children
         # no self-messaging
         assert out.out_message.target != nid
-        # neighbors reflect exactly the senders
-        assert out.neighbors == frozenset(m.sender for m in received)
+        # children are drawn from this round's senders
+        assert out.children <= frozenset(m.sender for m in received)
