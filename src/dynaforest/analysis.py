@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .engine import RoundHook, Trace
 from .model import Configuration, EdgeSet, NodeId, make_edge, resulting_forest
@@ -260,27 +260,42 @@ def connected_components(vertices: Iterable, edges: EdgeSet) -> tuple:
     return tuple(frozenset(members) for _, members in sorted(groups.items()))
 
 
-def trees_per_component(config: Configuration, edges: EdgeSet) -> RoundMetrics:
+def trees_per_component(
+    config: Configuration, edges: EdgeSet, components: Optional[int] = None
+) -> RoundMetrics:
     """Count tokens and physical components; ratio 1.0 is the optimum.
 
     Every component hosts at least one token on valid configurations, so the
     ratio is >= 1 whenever there is a component at all.  An empty vertex set
-    counts as vacuously optimal.
+    counts as vacuously optimal.  `components`, when given, is the known
+    component count of (V, edges) and is not recomputed.
     """
     trees = sum(1 for st in config.states.values() if st.status is Status.T)
-    components = len(connected_components(config.states.keys(), edges))
+    if components is None:
+        components = len(connected_components(config.states.keys(), edges))
     ratio = trees / components if components else 1.0
     return RoundMetrics(components, trees, ratio)
 
 
 class MetricsAccumulator:
-    """Streaming per-round metrics; usable directly as a RoundHook."""
+    """Streaming per-round metrics of one run; usable directly as a RoundHook.
+
+    The component count is reused while the round's `edges` is the same
+    object as the previous round's, and a round whose metrics equal the
+    previous round's stores that same `RoundMetrics` object, so quiet
+    stretches of a long run cost one reference per round.
+    """
 
     def __init__(self):
         self.per_round: list = []
+        self._edges = None
 
     def __call__(self, i: int, edges: EdgeSet, config: Configuration) -> None:
-        self.per_round.append(trees_per_component(config, edges))
+        last = self.per_round[-1] if self.per_round else None
+        known = last.components if edges is self._edges else None
+        metrics = trees_per_component(config, edges, known)
+        self.per_round.append(last if metrics == last else metrics)
+        self._edges = edges
 
     def summary(self) -> MetricsSummary:
         if not self.per_round:

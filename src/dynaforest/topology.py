@@ -91,7 +91,9 @@ class _MarkovSchedule:
     """Sequential two-state chain over all node pairs, numpy-vectorized.
 
     Forward queries advance the chain; a backward query replays from round
-    one, so any access order yields the same deterministic schedule.
+    one, so any access order yields the same deterministic schedule.  While
+    the present set does not change, queries return the same `frozenset`
+    object, so callers can tell an unchanged E_i by identity.
     """
 
     def __init__(self, params: EdgeMarkovParams):
@@ -105,6 +107,7 @@ class _MarkovSchedule:
         self._present = np.zeros(len(self._pairs), dtype=bool)
         self._round = 0
         self._cached: Optional[EdgeSet] = None
+        self._cached_present = self._present
 
     def _advance(self):
         p = self._params
@@ -124,8 +127,10 @@ class _MarkovSchedule:
             self._reset()
         while self._round < i:
             self._advance()
-        pairs = self._pairs
-        self._cached = frozenset(pairs[k] for k in np.flatnonzero(self._present).tolist())
+        if self._cached is None or not np.array_equal(self._present, self._cached_present):
+            pairs = self._pairs
+            self._cached = frozenset(pairs[k] for k in np.flatnonzero(self._present).tolist())
+            self._cached_present = self._present
         return self._cached
 
 
@@ -199,16 +204,28 @@ def parse_contact_trace(
 
     vertices = frozenset(v for rec in records for v in (rec.a, rec.b))
     starts = {edge: [s for s, _ in spans] for edge, spans in merged.items()}
+    # Rounds at which the edge set differs from the round before: a stretch
+    # runs from one of them to the next, and one frozenset serves all of it.
+    changes = sorted(
+        {r for spans in merged.values() for first, last in spans for r in (first, last + 1)}
+    )
+    served = [None, frozenset()]  # [stretch index, its edge set]
 
-    def produce(i: int) -> EdgeSet:
-        if i < 1:
-            raise ValueError(f"round index must be >= 1, got {i}")
+    def edges_at(i: int) -> EdgeSet:
         present = []
         for edge, spans in merged.items():
             k = bisect.bisect_right(starts[edge], i) - 1
             if k >= 0 and spans[k][1] >= i:
                 present.append(edge)
         return frozenset(present)
+
+    def produce(i: int) -> EdgeSet:
+        if i < 1:
+            raise ValueError(f"round index must be >= 1, got {i}")
+        stretch = bisect.bisect_right(changes, i)
+        if stretch != served[0]:
+            served[:] = [stretch, edges_at(i)]
+        return served[1]
 
     return EvolvingGraph(
         vertices=vertices,

@@ -17,7 +17,7 @@ from dynaforest.analysis import (
     summarize,
     trees_per_component,
 )
-from dynaforest.model import Status, make_edge_set
+from dynaforest.model import EvolvingGraph, Status, make_edge_set
 
 from test_model import make_config, make_state
 
@@ -246,6 +246,34 @@ class TestSummaries:
         acc = MetricsAccumulator()
         trace = engine.run(graph, rounds=40, seed=2, hooks=[acc])
         assert acc.summary() == summarize(trace)
+
+
+    def test_accumulator_matches_fresh_metrics_over_repeated_edge_sets(self, monkeypatch):
+        a = make_edge_set([(1, 2), (3, 4)])
+        b = make_edge_set([(1, 2), (2, 3), (3, 4)])
+        # same-object repeats, equal-but-distinct sets, and real changes
+        schedule = [a, a, frozenset(sorted(a)), b, b, a, frozenset(sorted(b)), b, b]
+        graph = EvolvingGraph(frozenset({1, 2, 3, 4, 5}), lambda i: schedule[i - 1])
+        computed = []
+        real_components = analysis.connected_components
+
+        def counting_components(vertices, edges):
+            computed.append(edges)
+            return real_components(vertices, edges)
+
+        acc = MetricsAccumulator()
+        recomputed = []
+        monkeypatch.setattr(analysis, "connected_components", counting_components)
+        for i, edges, config in engine.iter_run(graph, len(schedule), seed=4):
+            before = len(computed)
+            acc(i, edges, config)
+            recomputed.append(len(computed) > before)
+            assert acc.per_round[-1] == trees_per_component(config, edges)
+        # components are recomputed exactly when the edge-set object changes
+        assert recomputed == [True, False, True, True, False, True, True, True, False]
+        # a round with the previous round's metrics stores the same record
+        for before, after in zip(acc.per_round, acc.per_round[1:]):
+            assert (after is before) == (after == before)
 
 
 class TestCheckerHook:

@@ -2,7 +2,7 @@ import pytest
 
 from dynaforest import analysis, engine, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run, run_round
-from dynaforest.model import Action, Status, make_edge, make_edge_set
+from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
 
 
 def static_graph(n, edges):
@@ -162,3 +162,49 @@ class TestRoundProperties:
                 assert after.states[v].score == max(pair_before)
                 swaps += 1
         assert swaps > 50  # the run actually exercised circulation
+
+
+class TestDeltaRounds:
+    @pytest.mark.parametrize("lazy, rounds", [(True, 3000), (False, 1500)])
+    def test_long_sparse_run_matches_full_rounds(self, monkeypatch, lazy, rounds):
+        # 78 nodes at the criterion-5 mean degree 1.3, edges that live about
+        # 1000 rounds: from an empty graph, long quiet stretches alternate
+        # with edge changes
+        p_death, density = 1e-3, 1.3 / 77
+        params = topology.EdgeMarkovParams(
+            n=78, p_birth=p_death * density / (1 - density), p_death=p_death, seed=5
+        )
+        graph = topology.edge_markov(params)
+        steps = [0]
+        real_step = engine.node_step
+
+        def counting_step(*args):
+            steps[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(engine, "node_step", counting_step)
+        full = initial_configuration(graph.vertices)
+        rngs = make_node_rngs(11, graph.vertices)
+        delta_steps = 0
+        for i, edges, config in engine.iter_run(graph, rounds, seed=11, lazy=lazy):
+            delta_steps += steps[0]
+            full = run_round(full, edges, rngs, lazy)
+            assert config == full, f"round {i}"
+            steps[0] = 0
+        assert delta_steps < 78 * rounds / 2  # quiet nodes were really skipped
+
+    def test_unchanged_node_keeps_its_state_object(self):
+        graph = static_graph(5, [(1, 2)])
+        configs = [c for _, _, c in engine.iter_run(graph, rounds=6, seed=0)]
+        for before, after in zip(configs, configs[1:]):
+            for u in (3, 4, 5):  # isolated roots
+                assert after.states[u] is before.states[u]
+
+    def test_foreign_endpoint_fails_in_its_round_after_quiet_rounds(self):
+        quiet = make_edge_set([(1, 2)])
+        schedule = [quiet, quiet, quiet | {(1, 9)}]
+        graph = EvolvingGraph(frozenset({1, 2, 3}), lambda i: schedule[i - 1])
+        with pytest.raises(EngineError) as caught:
+            for _ in engine.iter_run(graph, rounds=3, seed=0):
+                pass
+        assert str(caught.value) == "round 3: edge {1,9} endpoint 9 is not in the vertex set"

@@ -1,12 +1,19 @@
-"""Exhaustive cross-check of the engine against the naive line-by-line
-interpreter, compared configuration for configuration: every 3-round edge
-schedule on 3 nodes (8 edge subsets per round, 512 schedules) and every
-2-round edge schedule on 4 nodes (64 edge subsets per round, 4096 schedules).
+"""Cross-check of the engine against the naive line-by-line interpreter,
+compared configuration for configuration.
+
+Exhaustive sweeps cover every 3-round edge schedule on 3 nodes (8 edge
+subsets per round, 512 schedules) and every 2-round edge schedule on 4 nodes
+(64 edge subsets per round, 4096 schedules).  Hypothesis-drawn schedules on
+4-7 nodes, each under its own seed, cover longer runs in which edge sets
+repeat, so the engine's delta rounds skip quiet nodes.
 """
 
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
 from dynaforest import engine, topology
+from dynaforest.model import EvolvingGraph
 from dynaforest.protocol import LAZY_REST_PROBABILITY
 
 from naive_oracle import NaiveSimulation, engine_snapshot
@@ -23,10 +30,16 @@ def edge_subsets(vertices):
 
 def run_schedule_both_ways(vertices, schedule, seed, lazy, rest_probability):
     graph = topology.scripted(vertices, [sorted(es) for es in schedule])
-    naive = NaiveSimulation(vertices, seed=seed, lazy=lazy, rest_probability=rest_probability)
+    return run_graph_both_ways(graph, len(schedule), seed, lazy, rest_probability)
+
+
+def run_graph_both_ways(graph, rounds, seed, lazy, rest_probability):
+    naive = NaiveSimulation(
+        graph.vertices, seed=seed, lazy=lazy, rest_probability=rest_probability
+    )
     mismatches = []
     for i, edges, config in engine.iter_run(
-        graph, rounds=len(schedule), seed=seed, lazy=lazy, rest_probability=rest_probability
+        graph, rounds=rounds, seed=seed, lazy=lazy, rest_probability=rest_probability
     ):
         naive.round(edges)
         if engine_snapshot(config) != naive.snapshot():
@@ -73,3 +86,40 @@ def test_all_4096_four_node_schedules_match():
 def test_all_4096_four_node_schedules_match_with_lazy_walk():
     failures = sweep(seed=3, lazy=True, vertices=(1, 2, 3, 4), rounds=2)
     assert failures == [], f"{len(failures)} schedules diverged, first: {failures[0]}"
+
+
+@st.composite
+def delta_schedules(draw):
+    """(vertices, E_1..E_k): each E_i repeats E_(i-1), as the same object or
+    as an equal new frozenset, or toggles a few edges of it."""
+    n = draw(st.integers(4, 7))
+    vertices = tuple(range(1, n + 1))
+    pairs = list(itertools.combinations(vertices, 2))
+    rounds = draw(st.integers(2, 12))
+    edges = frozenset(draw(st.sets(st.sampled_from(pairs))))
+    schedule = [edges]
+    for _ in range(rounds - 1):
+        move = draw(st.sampled_from(["same object", "equal copy", "toggle"]))
+        if move == "equal copy":
+            edges = frozenset(sorted(edges))
+        elif move == "toggle":
+            edges = edges ^ draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=3))
+        schedule.append(edges)
+    return vertices, schedule
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta_schedules(),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+)
+def test_drawn_schedules_with_repeats_match_naive_interpreter(
+    vertices_schedule, seed, lazy, rest_probability
+):
+    vertices, schedule = vertices_schedule
+    # the schedule hands out its own frozensets, so repeats keep their identity
+    graph = EvolvingGraph(frozenset(vertices), lambda i: schedule[i - 1])
+    mismatches = run_graph_both_ways(graph, len(schedule), seed, lazy, rest_probability)
+    assert mismatches == []

@@ -66,6 +66,26 @@ class TestEdgeMarkov:
         # repeated query of the same round is stable
         assert g1.schedule(29) == forward[28]
 
+    def test_unchanged_edge_set_is_the_same_object(self):
+        params = EdgeMarkovParams(n=6, p_birth=0.05, p_death=0.1, seed=3)
+        graph = edge_markov(params)
+        reference = edge_markov(params)
+        kept = renewed = 0
+        previous = graph.schedule(1)
+        for i in range(2, 200):
+            edges = graph.schedule(i)
+            if edges == previous:
+                assert edges is previous
+                kept += 1
+            else:
+                renewed += 1
+            previous = edges
+        assert kept > 20 and renewed > 20
+        # a backward query replays the chain and still gives the same sets
+        assert [graph.schedule(i) for i in range(1, 200)] == [
+            reference.schedule(i) for i in range(1, 200)
+        ]
+
     def test_long_run_density_matches_stationary_law(self):
         # two-state chain: stationary presence = p_birth / (p_birth + p_death)
         params = EdgeMarkovParams(n=10, p_birth=0.5, p_death=0.5, seed=123)
@@ -145,6 +165,41 @@ class TestParseContactTrace:
         assert g0.rounds == g1.rounds == g2.rounds
         for i in range(1, (g0.rounds or 1) + 1):
             assert g0.schedule(i) == g1.schedule(i) == g2.schedule(i)
+
+
+    @settings(max_examples=80)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                st.integers(1, 5),
+                st.integers(0, 30),
+                st.integers(1, 30),
+            ).map(lambda t: (t[0], t[1], t[2], t[2] + t[3])),
+            min_size=1,
+            max_size=10,
+        ).filter(lambda recs: all(a != b for a, b, _, _ in recs)),
+        st.sampled_from([1, 2, Fraction(1, 3), Fraction(3, 2)]),
+        st.randoms(use_true_random=False),
+    )
+    def test_schedule_matches_definition_in_any_query_order(self, raw, rps, rnd):
+        records = [ContactRecord(a, b, s, e) for a, b, s, e in raw]
+        graph = parse_contact_trace(records, rps)
+        rounds = range(1, graph.rounds + 4)
+
+        def by_definition(i):
+            t = Fraction(i) / rps
+            return make_edge_set((r.a, r.b) for r in records if r.start <= t < r.end)
+
+        forward = [graph.schedule(i) for i in rounds]
+        assert forward == [by_definition(i) for i in rounds]
+        for previous, edges in zip(forward, forward[1:]):
+            if edges == previous:
+                assert edges is previous  # one frozenset serves a whole stretch
+        shuffled = list(rounds)
+        rnd.shuffle(shuffled)
+        for i in shuffled + list(reversed(rounds)):
+            assert graph.schedule(i) == by_definition(i)
 
 
 class TestContactFile:
