@@ -4,6 +4,14 @@ Every checker returns violations as data (all of them, not just the first);
 an empty list certifies the property.  On engine-produced runs all six
 properties hold after every round, whatever the adversary does -- that is
 the whole point, and the checkers are how the test suite enforces it.
+
+The trees-per-component metric counts components by a flood fill over
+`model.adjacency`, the same adjacency the engine builds for E_i.  Each E_i
+is therefore walked once per round, summed over the engine and the metrics:
+the builder's one-slot memo returns the engine's adjacency when the metrics
+ask for the same edge-set object over an equal vertex set.  That is exact
+because both are immutable, and the memo is dropped when its edge set is
+freed, so no other set can match it by identity.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .engine import RoundHook, Trace
-from .model import Configuration, EdgeSet, NodeId, make_edge, resulting_forest
+from .model import Configuration, EdgeSet, NodeId, adjacency, make_edge, resulting_forest
 from .model import Status
 
 
@@ -236,28 +244,26 @@ def checker_hook() -> RoundHook:
 
 
 def connected_components(vertices: Iterable, edges: EdgeSet) -> tuple:
-    """Undirected components, canonically ordered by smallest member id."""
-    vertex_list = sorted(vertices)
-    vertex_set = set(vertex_list)
-    leader = {u: u for u in vertex_list}
+    """Undirected components, canonically ordered by smallest member id.
 
-    def find(x):
-        while leader[x] != x:
-            leader[x] = leader[leader[x]]
-            x = leader[x]
-        return x
-
-    for u, v in edges:
-        if u not in vertex_set or v not in vertex_set:
-            raise ValueError(f"edge {{{u},{v}}} has an endpoint outside the vertices")
-        a, b = find(u), find(v)
-        if a != b:
-            leader[max(a, b)] = min(a, b)
-
-    groups: dict = {}
-    for u in vertex_list:
-        groups.setdefault(find(u), []).append(u)
-    return tuple(frozenset(members) for _, members in sorted(groups.items()))
+    A flood fill over `model.adjacency`, which the engine has usually built
+    for the same round already.  Raises ValueError for an edge endpoint
+    outside `vertices`.
+    """
+    neighbours = adjacency(vertices, edges)
+    seen: set = set()
+    parts = []
+    for u in sorted(neighbours):
+        if u in seen:
+            continue
+        part = {u}
+        frontier = neighbours[u] - part
+        while frontier:
+            part |= frontier
+            frontier = set().union(*map(neighbours.__getitem__, frontier)) - part
+        seen |= part
+        parts.append(frozenset(part))
+    return tuple(parts)
 
 
 def trees_per_component(

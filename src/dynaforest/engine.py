@@ -21,6 +21,16 @@ return an equal state; the node keeps its `NodeState` object instead.
 `run_round` without a carried `RoundCarry` treats every node as dirty: the
 full round.
 
+One adjacency serves each E_i.  The engine gets it from `model.adjacency`,
+which walks the edges once and keeps its last result; the metrics'
+`connected_components` asks for the same (V, E_i) in the same round and gets
+that result back instead of walking E_i again.  The memo is exact: it hits
+only for the very edge-set object it was built from (frozen, and still
+alive, so no other set has its id) together with an equal vertex set, and
+nobody mutates the adjacency it returns.  Inside a round, `node_step`
+hands back the previous `NodeState` (or its out message) when the new one
+would be equal, so the engine tests identity before comparing fields.
+
 The engine itself consumes no randomness: one master seed derives a private
 stream per node, so adding hooks or reordering node computation cannot
 perturb outcomes.
@@ -31,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status
+from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status, adjacency
 from .protocol import LAZY_REST_PROBABILITY, NodeRng, initial_state, node_step
 
 # Called after each round with (round index, E_i, C_i).  Hooks observe, never
@@ -77,24 +87,8 @@ class RoundCarry:
     """
 
     edges: Optional[EdgeSet] = None
-    adjacency: Optional[dict] = None  # node -> set of its neighbours in `edges`
+    adjacency: Optional[dict] = None  # `model.adjacency(V, edges)`: shared, read-only
     dirty: Optional[set] = None  # nodes the next round must step
-
-
-def _adjacency(config: Configuration, edges: EdgeSet) -> dict:
-    """Each node's neighbour set in `edges`, in one pass over the edges."""
-    adjacency = {u: set() for u in config.states}
-    for u, v in edges:
-        try:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        except KeyError:
-            missing = u if u not in config.states else v
-            raise EngineError(
-                f"round {config.round + 1}: edge {{{u},{v}}} endpoint {missing} "
-                f"is not in the vertex set"
-            ) from None
-    return adjacency
 
 
 def run_round(
@@ -118,33 +112,36 @@ def run_round(
     everyone = len(states)
     fresh = carry is None or carry.adjacency is None
     if not fresh and (edges is carry.edges or edges == carry.edges):
-        adjacency, dirty = carry.adjacency, carry.dirty
+        neighbours, dirty = carry.adjacency, carry.dirty
     else:
-        adjacency = _adjacency(config, edges)
+        try:
+            neighbours = adjacency(states.keys(), edges)
+        except ValueError as exc:
+            raise EngineError(f"round {config.round + 1}: {exc}") from None
         if fresh:
             dirty = states.keys()
         else:
             previous, dirty = carry.adjacency, carry.dirty
             if len(dirty) < everyone:
-                dirty = dirty.union(
-                    u for u, neighbours in adjacency.items() if neighbours != previous[u]
-                )
+                dirty = dirty.union(u for u, vs in neighbours.items() if vs != previous[u])
     new_states = dict(states)
     next_dirty = set()
     for u in sorted(dirty):
         prev = states[u]
-        received = [states[v].out_message for v in adjacency[u]]
+        received = [states[v].out_message for v in neighbours[u]]
         st = new_states[u] = node_step(prev, received, rngs[u], lazy, rest_probability)
         if len(next_dirty) == everyone:
             continue
-        if st != prev:
+        # node_step returns `prev` and its out message unchanged when equal
+        if st is not prev and st != prev:
             next_dirty.add(u)
-            if st.out_message != prev.out_message:
-                next_dirty.update(adjacency[u])
+            out = st.out_message
+            if out is not prev.out_message and out != prev.out_message:
+                next_dirty.update(neighbours[u])
         if (st.status is Status.T and st.children) or st.out_message.action is not Action.HELLO:
             next_dirty.add(u)
     if carry is not None:
-        carry.edges, carry.adjacency, carry.dirty = edges, adjacency, next_dirty
+        carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty
     return Configuration(round=config.round + 1, states=new_states)
 
 

@@ -8,15 +8,18 @@ node, in this order:
 2. regenerates a token if its parent link vanished;
 3. commits its own pending FLIP/SELECT if the target edge survived; a FLIP
    also takes the smaller of the two swapped scores;
-4. processes the received messages in ascending sender id: the sender of a
-   FLIP/SELECT aimed at it becomes a child (a FLIP also hands over the token
-   and the larger score); among the others, the token holder with the
-   greatest score is the merge contender;
+4. processes the received messages: the sender of a FLIP/SELECT aimed at
+   it becomes a child (a FLIP also hands over the token and the larger
+   score); among the others, the token holder with the greatest score is
+   the merge contender;
 5. prepares the next message: a SELECT to a contender with a greater score,
    else a FLIP to a random child (a lazy root may rest instead), else a HELLO.
 
 The mailbox and the contender live only for one step.  Scores are unique
-network-wide, so the contender scan never meets a tie.
+network-wide, so the contender scan never meets a tie and the order of the
+received messages does not matter.  A step whose message or state equals the
+previous one returns the previous object, so callers can tell "unchanged" by
+identity; every new object is still built, and validated, as usual.
 """
 
 from __future__ import annotations
@@ -80,16 +83,6 @@ def choose_flip_target(children: frozenset, rng: NodeRng) -> NodeId:
     return rng.choice(sorted(children))
 
 
-def _make_message(
-    nid: NodeId, status: Status, score: int, action: Action, target: Optional[NodeId]
-) -> Message:
-    if action is Action.SELECT:
-        return Message(nid, Status.N, Action.SELECT, target, score)
-    if action is Action.FLIP:
-        return Message(nid, Status.T, Action.FLIP, target, score)
-    return Message(nid, status, Action.HELLO, None, score)
-
-
 def node_step(
     prev: NodeState,
     received: Sequence[Message],
@@ -101,12 +94,15 @@ def node_step(
 
     `received` holds exactly one message per physical neighbor this round
     (the engine guarantees reciprocity); `prev.out_message` is the message
-    this node sent at the start of the round.
+    this node sent at the start of the round.  Returns `prev` itself when the
+    new state equals it, and keeps `prev.out_message` when the new message
+    equals it.
     """
     nid = prev.id
     status_t = Status.T
     status_n = Status.N
     act_flip = Action.FLIP
+    act_select = Action.SELECT
     act_hello = Action.HELLO
 
     mailbox = {m.sender: m for m in received}
@@ -131,40 +127,64 @@ def node_step(
             if announced < score:
                 score = announced
 
-    # Process the mailbox: adopt children, scan for a contender.
+    # Process the mailbox: adopt children, scan for a contender.  Scores are
+    # unique, so the strict `>` scan is independent of the message order.
     contender: Optional[NodeId] = None
     best_score = 0
-    for sender, msg in sorted(mailbox.items()):
+    for msg in received:
         if msg.target == nid:
             if msg.action is act_flip:
                 status = status_t
                 parent = None
-                children.add(sender)
+                children.add(msg.sender)
                 if msg.score > score:
                     score = msg.score
             elif msg.action is act_hello:
                 raise ProtocolFault(
-                    f"node {nid}: received a HELLO targeted at itself from {sender}"
+                    f"node {nid}: received a HELLO targeted at itself from {msg.sender}"
                 )
             else:
-                children.add(sender)
+                children.add(msg.sender)
         elif msg.sender_status is status_t and msg.score > best_score:
-            contender = sender
+            contender = msg.sender
             best_score = msg.score
 
     # Prepare the next message.
-    out_msg = None
+    action, target = act_hello, None
     if status is status_t:
         if best_score > score:
-            out_msg = _make_message(nid, status, score, Action.SELECT, contender)
+            action, target = act_select, contender
         elif children:
             if lazy and rng.random() < rest_probability:
                 pass  # hold the token this round
             else:
-                target = choose_flip_target(children, rng)
-                out_msg = _make_message(nid, status, score, act_flip, target)
-    if out_msg is None:
-        out_msg = _make_message(nid, status, score, act_hello, None)
+                action, target = act_flip, choose_flip_target(children, rng)
+    # A SELECT announces N, a FLIP announces T, a HELLO the node's status.
+    if action is act_select:
+        sender_status = status_n
+    elif action is act_flip:
+        sender_status = status_t
+    else:
+        sender_status = status
+
+    # Reuse the previous message and state when they are equal to the new ones.
+    if (
+        out.action is action
+        and out.target == target
+        and out.score == score
+        and out.sender_status is sender_status
+        and out.sender == nid
+    ):
+        out_msg = out
+        if (
+            status is prev.status
+            and parent == prev.parent
+            and score == prev.score
+            and children == prev.children
+        ):
+            return prev
+    else:
+        out_msg = Message(nid, sender_status, action, target, score)
 
     return NodeState(
         id=nid,

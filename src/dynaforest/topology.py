@@ -128,8 +128,8 @@ class _MarkovSchedule:
         while self._round < i:
             self._advance()
         if self._cached is None or not np.array_equal(self._present, self._cached_present):
-            pairs = self._pairs
-            self._cached = frozenset(pairs[k] for k in np.flatnonzero(self._present).tolist())
+            present = np.flatnonzero(self._present).tolist()
+            self._cached = frozenset(map(self._pairs.__getitem__, present))
             self._cached_present = self._present
         return self._cached
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dynaforest import analysis, engine, topology
+from dynaforest import analysis, engine, model, topology
 from dynaforest.analysis import (
     MetricsAccumulator,
     ViolationKind,
@@ -249,28 +249,48 @@ class TestSummaries:
 
 
     def test_accumulator_matches_fresh_metrics_over_repeated_edge_sets(self, monkeypatch):
-        a = make_edge_set([(1, 2), (3, 4)])
-        b = make_edge_set([(1, 2), (2, 3), (3, 4)])
+        walked = []
+
+        class Edges(frozenset):
+            """An edge set that records each pass over its edges."""
+
+            def __iter__(self):
+                walked.append(self)
+                return super().__iter__()
+
+        a = Edges(make_edge_set([(1, 2), (3, 4)]))
+        b = Edges(make_edge_set([(1, 2), (2, 3), (3, 4)]))
         # same-object repeats, equal-but-distinct sets, and real changes
-        schedule = [a, a, frozenset(sorted(a)), b, b, a, frozenset(sorted(b)), b, b]
+        schedule = [a, a, Edges(a), b, b, a, Edges(b), b, b]
         graph = EvolvingGraph(frozenset({1, 2, 3, 4, 5}), lambda i: schedule[i - 1])
-        computed = []
-        real_components = analysis.connected_components
+        built = []
+        real_adjacency = model.adjacency
 
-        def counting_components(vertices, edges):
-            computed.append(edges)
-            return real_components(vertices, edges)
+        def counting_adjacency(vertices, edges):
+            built.append(edges)
+            return real_adjacency(vertices, edges)
 
+        # the one adjacency builder, as the engine and the metrics call it
+        monkeypatch.setattr(engine, "adjacency", counting_adjacency)
+        monkeypatch.setattr(analysis, "adjacency", counting_adjacency)
         acc = MetricsAccumulator()
-        recomputed = []
-        monkeypatch.setattr(analysis, "connected_components", counting_components)
+        calls, walks = [], []
+        walked.clear()
         for i, edges, config in engine.iter_run(graph, len(schedule), seed=4):
-            before = len(computed)
             acc(i, edges, config)
-            recomputed.append(len(computed) > before)
+            calls.append(len(built))
+            walks.append(list(walked))
             assert acc.per_round[-1] == trees_per_component(config, edges)
-        # components are recomputed exactly when the edge-set object changes
-        assert recomputed == [True, False, True, True, False, True, True, True, False]
+            built.clear()
+            walked.clear()
+        # engine and metrics together walk E_i once when the edge-set object
+        # changes, and not at all when it repeats
+        changed = [True, False, True, True, False, True, True, True, False]
+        assert [len(w) for w in walks] == [1 if new else 0 for new in changed]
+        assert all(w[0] is edges for w, edges in zip(walks, schedule) if w)
+        # the engine builds when E_i differs from E_(i-1), and the metrics ask
+        # whenever the object changes; a second call in a round hits the memo
+        assert calls == [2, 0, 1, 2, 0, 2, 2, 1, 0]
         # a round with the previous round's metrics stores the same record
         for before, after in zip(acc.per_round, acc.per_round[1:]):
             assert (after is before) == (after == before)
