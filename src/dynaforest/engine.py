@@ -28,8 +28,10 @@ that result back instead of walking E_i again.  The memo is exact: it hits
 only for the very edge-set object it was built from (frozen, and still
 alive, so no other set has its id) together with an equal vertex set, and
 nobody mutates the adjacency it returns.  Inside a round, `node_step`
-hands back the previous `NodeState` (or its out message) when the new one
-would be equal, so the engine tests identity before comparing fields.
+hands back the previous `NodeState` (or its out message) exactly when the new
+one would be equal, so the engine tells "changed" by identity alone.  A step
+that returned an equal copy would only mark nodes dirty that need not be; an
+over-marked node is stepped as in a full round, so the result stays exact.
 
 The engine itself consumes no randomness: one master seed derives a private
 stream per node, so adding hooks or reordering node computation cannot
@@ -43,6 +45,12 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status, adjacency
 from .protocol import LAZY_REST_PROBABILITY, NodeRng, initial_state, node_step
+
+# Enum members `run_round` reads for every stepped node, bound once.  On
+# CPython 3.11 a lookup such as `Status.T` costs about 0.17 us, a module
+# global about 0.02 us.
+_T = Status.T
+_HELLO = Action.HELLO
 
 # Called after each round with (round index, E_i, C_i).  Hooks observe, never
 # mutate; a hook exception aborts the run.
@@ -132,13 +140,12 @@ def run_round(
         st = new_states[u] = node_step(prev, received, rngs[u], lazy, rest_probability)
         if len(next_dirty) == everyone:
             continue
-        # node_step returns `prev` and its out message unchanged when equal
-        if st is not prev and st != prev:
+        # node_step returns `prev`, or keeps its out message, exactly when equal
+        if st is not prev:
             next_dirty.add(u)
-            out = st.out_message
-            if out is not prev.out_message and out != prev.out_message:
+            if st.out_message is not prev.out_message:
                 next_dirty.update(neighbours[u])
-        if (st.status is Status.T and st.children) or st.out_message.action is not Action.HELLO:
+        if (st.status is _T and st.children) or st.out_message.action is not _HELLO:
             next_dirty.add(u)
     if carry is not None:
         carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty

@@ -32,6 +32,16 @@ class Action(enum.Enum):
     HELLO = "HELLO"
 
 
+# Enum members `Message.__post_init__` reads on every message, bound once.  On
+# CPython 3.11 a lookup such as `Action.HELLO` costs about 0.17 us, a module
+# global about 0.02 us.
+_T = Status.T
+_N = Status.N
+_FLIP = Action.FLIP
+_SELECT = Action.SELECT
+_HELLO = Action.HELLO
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """The five-field wire unit exchanged each round.
@@ -51,7 +61,7 @@ class Message:
             raise ValueError(f"sender id must be positive, got {self.sender}")
         if self.score <= 0:
             raise ValueError(f"score must be positive, got {self.score}")
-        if self.action is Action.HELLO:
+        if self.action is _HELLO:
             if self.target is not None:
                 raise ValueError("HELLO messages carry no target")
         else:
@@ -59,9 +69,9 @@ class Message:
                 raise ValueError(f"{self.action.value} messages need a target")
             if self.target == self.sender:
                 raise ValueError("a node never targets itself")
-            if self.action is Action.SELECT and self.sender_status is not Status.N:
+            if self.action is _SELECT and self.sender_status is not _N:
                 raise ValueError("SELECT messages announce status N")
-            if self.action is Action.FLIP and self.sender_status is not Status.T:
+            if self.action is _FLIP and self.sender_status is not _T:
                 raise ValueError("FLIP messages announce status T")
 
 

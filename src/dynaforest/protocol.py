@@ -34,6 +34,15 @@ from .model import Action, Message, NodeId, NodeState, Status
 # instead of circulating it (the lazy-walk variant).
 LAZY_REST_PROBABILITY = 0.5
 
+# Enum members `node_step` reads on every call, bound once.  On CPython 3.11
+# a lookup such as `Status.T` or `Action.HELLO` costs about 0.17 us, a module
+# global about 0.02 us; a step would otherwise make five lookups.
+_T = Status.T
+_N = Status.N
+_FLIP = Action.FLIP
+_SELECT = Action.SELECT
+_HELLO = Action.HELLO
+
 
 class ProtocolFault(RuntimeError):
     """An impossible-by-invariant situation: signals an engine bug, not data."""
@@ -99,12 +108,6 @@ def node_step(
     equals it.
     """
     nid = prev.id
-    status_t = Status.T
-    status_n = Status.N
-    act_flip = Action.FLIP
-    act_select = Action.SELECT
-    act_hello = Action.HELLO
-
     mailbox = {m.sender: m for m in received}
     children = {c for c in prev.children if c in mailbox}
     status = prev.status
@@ -112,16 +115,16 @@ def node_step(
     score = prev.score
 
     # Regenerate a token if the parent link is lost.
-    if status is status_n and parent not in mailbox:
-        status = status_t
+    if status is _N and parent not in mailbox:
+        status = _T
         parent = None
 
     # Commit our own FLIP/SELECT if it was successful.
     out = prev.out_message
-    if out.action is not act_hello and out.target in mailbox:
-        status = status_n
+    if out.action is not _HELLO and out.target in mailbox:
+        status = _N
         parent = out.target
-        if out.action is act_flip:
+        if out.action is _FLIP:
             children.discard(parent)
             announced = mailbox[parent].score
             if announced < score:
@@ -133,37 +136,37 @@ def node_step(
     best_score = 0
     for msg in received:
         if msg.target == nid:
-            if msg.action is act_flip:
-                status = status_t
+            if msg.action is _FLIP:
+                status = _T
                 parent = None
                 children.add(msg.sender)
                 if msg.score > score:
                     score = msg.score
-            elif msg.action is act_hello:
+            elif msg.action is _HELLO:
                 raise ProtocolFault(
                     f"node {nid}: received a HELLO targeted at itself from {msg.sender}"
                 )
             else:
                 children.add(msg.sender)
-        elif msg.sender_status is status_t and msg.score > best_score:
+        elif msg.sender_status is _T and msg.score > best_score:
             contender = msg.sender
             best_score = msg.score
 
     # Prepare the next message.
-    action, target = act_hello, None
-    if status is status_t:
+    action, target = _HELLO, None
+    if status is _T:
         if best_score > score:
-            action, target = act_select, contender
+            action, target = _SELECT, contender
         elif children:
             if lazy and rng.random() < rest_probability:
                 pass  # hold the token this round
             else:
-                action, target = act_flip, choose_flip_target(children, rng)
+                action, target = _FLIP, choose_flip_target(children, rng)
     # A SELECT announces N, a FLIP announces T, a HELLO the node's status.
-    if action is act_select:
-        sender_status = status_n
-    elif action is act_flip:
-        sender_status = status_t
+    if action is _SELECT:
+        sender_status = _N
+    elif action is _FLIP:
+        sender_status = _T
     else:
         sender_status = status
 

@@ -124,6 +124,30 @@ class TestCorrectForest:
         assert ViolationKind.CyclicPseudotree in kinds
         assert ViolationKind.MultiRootPseudotree in kinds
 
+    def test_arc_to_a_non_vertex_is_ignored(self):
+        # node 1's parent 99 is no vertex (ForestConsistency reports it); the
+        # forest check treats node 1 as a root, also next to a cycle
+        def config(parent_of_1):
+            return make_config(
+                1,
+                [
+                    make_state(1, status=Status.N, parent=parent_of_1, children={4}),
+                    make_state(2, status=Status.N, parent=3),
+                    make_state(3, status=Status.N, parent=2),
+                    make_state(4, status=Status.N, parent=1),
+                ],
+            )
+
+        edges = make_edge_set([(1, 99), (2, 3), (1, 4)])
+        violations = check_correct_forest(config(99), edges)
+        assert violations == check_correct_forest(config(None), edges)
+        assert [v.kind for v in violations] == [
+            ViolationKind.MultiRootPseudotree,
+            ViolationKind.CyclicPseudotree,
+            ViolationKind.CyclicPseudotree,
+        ]
+        assert check_correct_forest(config(99), edges - {(2, 3)}) == []
+
     def test_clean_under_adversarial_resampling(self):
         rng = random.Random(13)
         vertices = list(range(1, 15))

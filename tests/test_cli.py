@@ -133,6 +133,44 @@ class TestCmdRun:
         assert stored.rounds[5][1] == frozenset({(1, 3)})  # tail repetition
 
 
+    @pytest.mark.parametrize(
+        "record", ["1 x 0 5", "1 1 0 5"], ids=["non-integer", "self-contact"]
+    )
+    def test_malformed_contact_file_fails_before_fan_out(
+        self, tmp_path, monkeypatch, capsys, record
+    ):
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text(f"1 2 0 5\n{record}\n")
+        self.assert_config_error_before_fan_out(
+            tmp_path, monkeypatch, capsys,
+            ["--adversary", "trace", "--trace-file", str(contacts)],
+        )
+
+    @pytest.mark.parametrize("line", ["1-x", "2-2"], ids=["non-integer", "self-loop"])
+    def test_malformed_script_file_fails_before_fan_out(
+        self, tmp_path, monkeypatch, capsys, line
+    ):
+        script = tmp_path / "script.txt"
+        script.write_text(f"1-2\n{line}\n")
+        self.assert_config_error_before_fan_out(
+            tmp_path, monkeypatch, capsys,
+            ["--adversary", "scripted", "--script-file", str(script), "--nodes", "3"],
+        )
+
+    def assert_config_error_before_fan_out(self, tmp_path, monkeypatch, capsys, adversary):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        rc = main(["run", *adversary, "--rounds", "5", "--seeds", "0-1", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "line 2" in err
+        assert not out.exists()
+
+
 class TestCmdCheck:
     def make_trace(self, tmp_path):
         out = tmp_path / "out"
@@ -168,6 +206,36 @@ class TestCmdCheck:
                         assert "violation" in capsys.readouterr().err.lower()
                         return
         pytest.fail("trace contained no parent pointer to mutate")
+
+    def tamper_node_1(self, tmp_path, parent, extra_edge=None):
+        """Round 1 of a real trace with node 1 given `parent` (and an extra edge)."""
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        if extra_edge is not None:
+            lines[5] = extra_edge if lines[5] == "-" else f"{lines[5]} {extra_edge}"
+        tokens = lines[6].split()
+        nid, _, _, score, children = tokens[0].split(":")
+        assert nid == "1"
+        tokens[0] = ":".join([nid, "N", parent, score, children])
+        lines[6] = " ".join(tokens)
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        return tampered
+
+    def test_parent_outside_vertex_set_is_a_violation(self, tmp_path, capsys):
+        tampered = self.tamper_node_1(tmp_path, "99", extra_edge="1-99")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert "round 1: ForestConsistency: node 1 has parent 99" in err
+        assert "Traceback" not in err
+
+    def test_negative_parent_is_a_violation(self, tmp_path, capsys):
+        tampered = self.tamper_node_1(tmp_path, "-3")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert "round 1: ForestConsistency: node 1 has parent -3" in err
+        assert "round 1: GraphConsistency: node 1 has parent -3 but edge {1,-3}" in err
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -1,13 +1,22 @@
 """Golden hashes of end-to-end outputs.
 
-The sha256 of every trace and CSV from one small lazy `cli run`, and of the
-`replay-figure fig2` table, are pinned here.  A refactor that is meant to
+The sha256 of every trace and CSV from one small lazy `cli run`, of the
+`replay-figure fig2` table, and of the checkers' verdicts on a seeded corpus
+of corrupted configurations are pinned here.  A refactor that is meant to
 keep outputs byte-identical must keep these hashes.
 """
 
+import dataclasses
 import hashlib
+import random
+from collections import Counter
 
-from dynaforest.cli import main
+from hypothesis import given, settings, strategies as st
+
+from dynaforest import cli, engine, topology
+from dynaforest.analysis import ViolationKind, run_all_checks
+from dynaforest.cli import main, read_trace_file
+from dynaforest.model import Configuration, Status
 
 RUN_ARGS = [
     "run", "--adversary", "edge-markov", "--nodes", "12", "--p-birth", "0.3",
@@ -49,3 +58,146 @@ def test_cli_run_outputs_are_byte_identical(tmp_path, monkeypatch):
 def test_replay_fig2_output_is_byte_identical(capsys):
     assert main(["replay-figure", "fig2"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == FIG2_HASH
+
+
+# ---------------------------------------------------------------------------
+# checker verdicts on corrupted engine configurations
+
+CHECKS_HASH = "80f4e6dca46e7e5fde70bd70a130315dd7c74c232945b8d64bacd60e08f13231"
+CHECKS_CONFIGURATIONS = 2400
+
+
+def _corrupt_parent(states, edges, rng, vertices):
+    u = rng.choice(vertices)
+    state = states[u]
+    v = rng.choice([None] + [w for w in vertices if w != u])
+    if v is not None and rng.random() < 0.5:
+        edges.add((min(u, v), max(u, v)))
+    states[u] = dataclasses.replace(state, parent=v, children=state.children - {v})
+
+
+def _corrupt_children(states, edges, rng, vertices):
+    u = rng.choice(vertices)
+    state = states[u]
+    w = rng.choice([w for w in vertices if w != u])
+    if w in state.children:
+        children = state.children - {w}
+    elif w != state.parent:
+        children = state.children | {w}
+    else:
+        return
+    states[u] = dataclasses.replace(state, children=children)
+
+
+def _flip_status(states, edges, rng, vertices):
+    u = rng.choice(vertices)
+    state = states[u]
+    flipped = Status.N if state.status is Status.T else Status.T
+    states[u] = dataclasses.replace(state, status=flipped)
+
+
+def _duplicate_score(states, edges, rng, vertices):
+    u, w = rng.sample(vertices, 2)
+    states[u] = dataclasses.replace(states[u], score=states[w].score)
+
+
+def _make_cycle(states, edges, rng, vertices):
+    ring = rng.sample(vertices, rng.randint(2, min(4, len(vertices))))
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        state = states[a]
+        states[a] = dataclasses.replace(
+            state, status=Status.N, parent=b, children=state.children - {b}
+        )
+        edges.add((min(a, b), max(a, b)))
+        if rng.random() < 0.5 and states[b].parent != a:
+            states[b] = dataclasses.replace(states[b], children=states[b].children | {a})
+
+
+def _second_root(states, edges, rng, vertices):
+    # a node keeps its place in its parent's children but claims a token
+    members = [u for u in vertices if states[u].parent is not None]
+    if members:
+        u = rng.choice(members)
+        states[u] = dataclasses.replace(states[u], status=Status.T, parent=None)
+
+
+def _remove_tree_edge(states, edges, rng, vertices):
+    members = [u for u in vertices if states[u].parent is not None]
+    if members:
+        u = rng.choice(members)
+        v = states[u].parent
+        edges.discard((min(u, v), max(u, v)))
+
+
+CORRUPTIONS = (
+    _corrupt_parent,
+    _corrupt_children,
+    _flip_status,
+    _duplicate_score,
+    _make_cycle,
+    _second_root,
+    _remove_tree_edge,
+)
+
+
+def corrupted_configurations():
+    """(configuration, edges) pairs: engine rounds with 1-3 corruptions each."""
+    rng = random.Random(1410)
+    runs = [(n, p, lazy) for n in (4, 7, 12) for p in (0.1, 0.4) for lazy in (False, True)]
+    rounds = CHECKS_CONFIGURATIONS // len(runs)
+    for k, (n, p, lazy) in enumerate(runs):
+        graph = topology.edge_markov(topology.EdgeMarkovParams(n, p, p, seed=k))
+        vertices = sorted(graph.vertices)
+        for i, edges, config in engine.iter_run(graph, rounds, seed=k, lazy=lazy):
+            states = dict(config.states)
+            edge_list = set(edges)
+            for corrupt in rng.choices(CORRUPTIONS, k=rng.randint(1, 3)):
+                corrupt(states, edge_list, rng, vertices)
+            yield Configuration(round=i, states=states), frozenset(edge_list)
+
+
+def test_checker_output_on_corrupted_configurations_is_byte_identical():
+    lines, kinds, clean = [], Counter(), 0
+    for k, (config, edges) in enumerate(corrupted_configurations()):
+        violations = run_all_checks(config, edges)
+        lines.append(f"#{k}")
+        lines.extend(str(v) for v in violations)
+        kinds.update(v.kind for v in violations)
+        clean += not violations
+    assert k + 1 == CHECKS_CONFIGURATIONS
+    assert set(kinds) == set(ViolationKind)  # every checker fires somewhere
+    assert 0 < clean < CHECKS_CONFIGURATIONS
+    assert sha256("\n".join(lines).encode()) == CHECKS_HASH
+
+
+# ---------------------------------------------------------------------------
+# the trace format round-trips
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(1, 9),
+    p=st.sampled_from([0.05, 0.3, 0.7]),
+    rounds=st.integers(1, 25),
+    seed=st.integers(0, 2**16),
+    lazy=st.booleans(),
+)
+def test_written_trace_reads_back_every_round(tmp_path_factory, nodes, p, rounds, seed, lazy):
+    config = cli.RunConfig(nodes=nodes, p_birth=p, p_death=p, rounds=rounds, lazy=lazy)
+    result = cli.run_one_seed(config, seed)
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    path.write_text("\n".join(result.trace_lines) + "\n")
+    stored = read_trace_file(path)
+    graph = cli.build_graph(config, seed)
+    expected = list(engine.iter_run(graph, rounds, seed, lazy))
+    assert stored.vertices == graph.vertices
+    assert (stored.seed, stored.lazy) == (seed, lazy)
+    assert len(stored.rounds) == rounds
+    for (i, edges, want), (j, got_edges, got) in zip(expected, stored.rounds):
+        assert (j, got_edges) == (i, edges)
+        assert list(got.states) == list(want.states)
+        for u, st_want in want.states.items():
+            st_got = got.states[u]
+            assert (st_got.status, st_got.parent, st_got.score, st_got.children) == (
+                st_want.status, st_want.parent, st_want.score, st_want.children
+            )
