@@ -11,13 +11,11 @@ from .model import (
     EvolvingGraph,
     Message,
     NodeState,
-    PseudoForest,
     Status,
     make_edge,
     make_edge_set,
-    resulting_forest,
 )
-from .engine import Trace, initial_configuration, iter_run, run, run_round
+from .engine import initial_configuration, iter_run, run_round
 from .protocol import NodeRng, initial_state, node_step
 
 __version__ = "0.1.0"
@@ -29,17 +27,13 @@ __all__ = [
     "Message",
     "NodeRng",
     "NodeState",
-    "PseudoForest",
     "Status",
-    "Trace",
     "initial_configuration",
     "initial_state",
     "iter_run",
     "make_edge",
     "make_edge_set",
     "node_step",
-    "resulting_forest",
-    "run",
     "run_round",
     "__version__",
 ]

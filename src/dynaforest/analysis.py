@@ -39,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .engine import RoundHook, Trace
 from .model import Configuration, EdgeSet, Status, adjacency
 
 
@@ -276,25 +275,6 @@ def run_all_checks(config: Configuration, edges: EdgeSet) -> list:
     )
 
 
-class InvariantViolation(AssertionError):
-    """Raised by the checker hook; carries the violations for diagnostics."""
-
-    def __init__(self, violations: Sequence[Violation]):
-        super().__init__("; ".join(str(v) for v in violations))
-        self.violations = list(violations)
-
-
-def checker_hook() -> RoundHook:
-    """A RoundHook that aborts the run on the first violating round."""
-
-    def hook(i: int, edges: EdgeSet, config: Configuration) -> None:
-        violations = run_all_checks(config, edges)
-        if violations:
-            raise InvariantViolation(violations)
-
-    return hook
-
-
 def connected_components(vertices: Iterable, edges: EdgeSet) -> tuple:
     """Undirected components, canonically ordered by smallest member id.
 
@@ -336,7 +316,7 @@ def trees_per_component(
 
 
 class MetricsAccumulator:
-    """Streaming per-round metrics of one run; usable directly as a RoundHook.
+    """Streaming per-round metrics of one run, fed (i, E_i, C_i) once per round.
 
     The component count is reused while the round's `edges` is the same
     object as the previous round's, and a round whose metrics equal the
@@ -365,16 +345,6 @@ class MetricsAccumulator:
             mean_trees_per_component=sum(ratios) / len(ratios),
             fraction_optimal_rounds=optimal / len(self.per_round),
         )
-
-
-def summarize(trace: Trace) -> MetricsSummary:
-    """Aggregate a retained trace (rounds 1..k; C_0 is not a round)."""
-    if not trace.edge_sets:
-        raise ValueError("trace holds no rounds")
-    acc = MetricsAccumulator()
-    for i, edges in enumerate(trace.edge_sets, start=1):
-        acc(i, edges, trace.configurations[i])
-    return acc.summary()
 
 
 def round_csv_lines(summary: MetricsSummary) -> list:

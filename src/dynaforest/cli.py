@@ -6,9 +6,14 @@ Commands:
     check         replay every invariant checker over a stored trace file
     replay-figure run a built-in scripted scenario and print its state table
 
-Configuration comes from an optional flat key=value file plus command-line
-flags of the same names; flags win.  Exit codes: 0 success, 1 runtime or
-I/O failure, 2 usage/config error, 3 invariant violation.
+`run --config FILE` reads settings from a file of `key=value` lines; `#`
+starts a comment.  The keys are the `run` long flags without their `--`,
+and each line is parsed as that flag: `p-birth=0.3` as `--p-birth=0.3`,
+`seeds=0-99` as `--seeds=0-99`.  A boolean flag's key takes 1/0, true/false,
+yes/no or on/off: `lazy=true` is `--lazy`, `lazy=false` is `--no-lazy`, and
+`no-checkers=true` is `--no-checkers`.  Flags on the command line win over
+the file.  Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config
+error, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,7 +45,8 @@ _T = Status.T
 ADVERSARIES = ("scripted", "edge-markov", "trace")
 
 
-class ConfigError(ValueError):
+# an ArgumentTypeError too: argparse shows its message when a flag's type raises it
+class ConfigError(argparse.ArgumentTypeError, ValueError):
     """Bad run configuration (reported as a usage error)."""
 
 
@@ -84,26 +90,17 @@ class RunConfig:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.nodes < 1:
             raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
+        for flag, p in (
+            ("p-birth", self.p_birth),
+            ("p-death", self.p_death),
+            ("rest-probability", self.rest_probability),
+        ):
+            if not 0.0 <= p <= 1.0:  # also false for nan
+                raise ConfigError(f"{flag} must be in [0, 1], got {p}")
 
 
 # ---------------------------------------------------------------------------
-# configuration file + flag merging
-
-_CONFIG_KEYS = {
-    "adversary": str,
-    "nodes": int,
-    "p-birth": float,
-    "p-death": float,
-    "trace-file": str,
-    "script-file": str,
-    "rounds-per-second": Fraction,
-    "rounds": int,
-    "seeds": str,
-    "lazy": bool,
-    "no-checkers": bool,
-    "rest-probability": float,
-    "out": str,
-}
+# run options: flags and the config file
 
 
 def parse_seeds(text: str) -> tuple:
@@ -130,18 +127,52 @@ def parse_seeds(text: str) -> tuple:
     return tuple(seeds)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean value {text!r}")
+def fraction(text: str) -> Fraction:
+    """A rational such as '10', '2.5' or '5/2'."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in {text!r}") from None
 
 
-def parse_config_file(path) -> dict:
-    """Flat key=value lines, '#' comments; keys named like the CLI flags."""
-    values = {}
+def add_run_options(parser: argparse.ArgumentParser) -> dict:
+    """Declare every `run` setting on `parser`; return its actions by long flag.
+
+    The one declaration of each setting's name, type and help, for the
+    command line and the config file alike.  Defaults live on `RunConfig`:
+    an option not given parses to None.
+    """
+    add = parser.add_argument
+    boolean = argparse.BooleanOptionalAction
+    actions = [
+        add("--adversary", choices=ADVERSARIES, help="what draws each round's edge set"),
+        add("--nodes", type=int, help="vertex count of an edge-markov or scripted run"),
+        add("--p-birth", type=float, help="edge-markov: chance an absent edge appears"),
+        add("--p-death", type=float, help="edge-markov: chance a present edge vanishes"),
+        add("--trace-file", help="contact file of the trace adversary"),
+        add("--script-file", help="one line of edges per round, for the scripted adversary"),
+        add("--rounds-per-second", type=fraction, help="round rate of the trace adversary"),
+        add("--rounds", type=int, help="rounds per seed; the trace adversary sets its own"),
+        add("--seeds", type=parse_seeds, help="e.g. '0-99' or '1,5,7'"),
+        add("--lazy", action=boolean, help="roots rest at random (the lazy protocol)"),
+        add("--checkers", action=boolean, help="check every invariant every round"),
+        add("--rest-probability", type=float, help="chance a lazy root rests in a round"),
+        add("--out", help="output directory"),
+    ]
+    return {flag: action for action in actions for flag in action.option_strings}
+
+
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def parse_config_file(path) -> argparse.Namespace:
+    """The settings a config file gives, each line parsed as its `run` flag."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    options = add_run_options(parser)
+    values = argparse.Namespace()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
@@ -149,57 +180,34 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
+            key, _, value = (part.strip() for part in text.partition("="))
+            flag = "--" + key
+            action = options.get(flag)
+            if action is None:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+            bad = ConfigError(f"{path}: line {lineno}: bad value {value!r} for config key {key!r}")
+            if isinstance(action, argparse.BooleanOptionalAction):
+                on = _BOOLEANS.get(value.lower())
+                if on is None:
+                    raise bad
+                # the flag itself, or the other spelling of the same setting
+                token = flag if on else next(f for f in action.option_strings if f != flag)
+            else:
+                token = f"{flag}={value}"
+            try:
+                parser.parse_args([token], values)
+            except argparse.ArgumentError:
+                raise bad from None
     return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and flags (flags win) into a RunConfig."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    config = RunConfig()
-
-    def pick(key: str, flag_value):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            raw = file_values[key]
-            kind = _CONFIG_KEYS[key]
-            if kind is bool:
-                return _parse_bool(raw)
-            try:
-                return kind(raw)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
-        return None
-
-    updates = {
-        "adversary": pick("adversary", args.adversary),
-        "nodes": pick("nodes", args.nodes),
-        "p_birth": pick("p-birth", args.p_birth),
-        "p_death": pick("p-death", args.p_death),
-        "trace_file": pick("trace-file", args.trace_file),
-        "script_file": pick("script-file", args.script_file),
-        "rounds_per_second": pick("rounds-per-second", args.rounds_per_second),
-        "rounds": pick("rounds", args.rounds),
-        "lazy": pick("lazy", args.lazy),
-        "rest_probability": pick("rest-probability", args.rest_probability),
-        "out": pick("out", args.out),
-    }
-    seeds_text = args.seeds if args.seeds is not None else file_values.get("seeds")
-    if seeds_text is not None:
-        updates["seeds"] = parse_seeds(seeds_text)
-    if args.checkers is not None:
-        updates["checkers"] = args.checkers
-    elif "no-checkers" in file_values:
-        updates["checkers"] = not _parse_bool(file_values["no-checkers"])
-
-    for key, value in updates.items():
-        if value is not None:
-            setattr(config, key, value)
+    """The parsed `run` flags over the `--config` file's values over the defaults."""
+    values = vars(parse_config_file(args.config)) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items() if value is not None)
+    config = RunConfig(
+        **{f.name: values[f.name] for f in fields(RunConfig) if values.get(f.name) is not None}
+    )
     config.validate()
     return config
 
@@ -489,12 +497,19 @@ def cmd_run(config: RunConfig) -> int:
     check_adversary_input(config)
     workers = _worker_count(len(config.seeds))
     results = []
-    if workers == 1:
-        for seed in config.seeds:
-            results.append(run_one_seed(config, seed))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one_seed, [config] * len(config.seeds), config.seeds))
+    try:
+        if workers == 1:
+            for seed in config.seeds:
+                results.append(run_one_seed(config, seed))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(run_one_seed, [config] * len(config.seeds), config.seeds):
+                    results.append(result)
+    except Exception as exc:  # in a seed, or a dead worker (BrokenProcessPool)
+        # results arrive in seed order: the first seed without one failed
+        seed = config.seeds[len(results)]
+        print(f"seed {seed} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
     for result in results:
         if result.violations:
@@ -630,20 +645,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run simulations over a seed sweep")
-    run_p.add_argument("--config", help="flat key=value config file; flags override it")
-    run_p.add_argument("--adversary", choices=ADVERSARIES)
-    run_p.add_argument("--nodes", type=int)
-    run_p.add_argument("--p-birth", type=float)
-    run_p.add_argument("--p-death", type=float)
-    run_p.add_argument("--trace-file")
-    run_p.add_argument("--script-file")
-    run_p.add_argument("--rounds-per-second", type=Fraction)
-    run_p.add_argument("--rounds", type=int)
-    run_p.add_argument("--seeds", help="e.g. '0-99' or '1,5,7'")
-    run_p.add_argument("--lazy", action=argparse.BooleanOptionalAction)
-    run_p.add_argument("--checkers", action=argparse.BooleanOptionalAction)
-    run_p.add_argument("--rest-probability", type=float)
-    run_p.add_argument("--out")
+    run_p.add_argument("--config", help="file of key=value run settings; flags override it")
+    add_run_options(run_p)
 
     check_p = sub.add_parser("check", help="replay checkers over a stored trace")
     check_p.add_argument("trace_path")
@@ -667,9 +670,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except analysis.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -34,14 +34,13 @@ that returned an equal copy would only mark nodes dirty that need not be; an
 over-marked node is stepped as in a full round, so the result stays exact.
 
 The engine itself consumes no randomness: one master seed derives a private
-stream per node, so adding hooks or reordering node computation cannot
-perturb outcomes.
+stream per node, so reordering node computation cannot perturb outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status, adjacency
 from .protocol import LAZY_REST_PROBABILITY, NodeRng, initial_state, node_step
@@ -52,30 +51,9 @@ from .protocol import LAZY_REST_PROBABILITY, NodeRng, initial_state, node_step
 _T = Status.T
 _HELLO = Action.HELLO
 
-# Called after each round with (round index, E_i, C_i).  Hooks observe, never
-# mutate; a hook exception aborts the run.
-RoundHook = Callable[[int, EdgeSet, Configuration], None]
-
 
 class EngineError(RuntimeError):
     """Configuration errors that abort a run (e.g. an edge endpoint outside V)."""
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A completed run: C_0..C_k, E_1..E_k, and what produced them."""
-
-    configurations: tuple
-    edge_sets: tuple
-    seed: int
-    parameters: dict
-
-    def __post_init__(self):
-        if len(self.configurations) != len(self.edge_sets) + 1:
-            raise ValueError(
-                f"{len(self.configurations)} configurations do not match "
-                f"{len(self.edge_sets)} edge sets"
-            )
 
 
 def initial_configuration(vertices) -> Configuration:
@@ -174,31 +152,3 @@ def iter_run(
         config = run_round(config, edges, rngs, lazy, rest_probability, carry=carry)
         yield i, edges, config
 
-
-def run(
-    graph: EvolvingGraph,
-    rounds: int,
-    seed: int,
-    lazy: bool = False,
-    hooks: Sequence[RoundHook] = (),
-    rest_probability: float = LAZY_REST_PROBABILITY,
-) -> Trace:
-    """Run the full configuration sequence C_0..C_rounds and keep it.
-
-    Fully deterministic given (graph parameters, seed, lazy).  All hooks are
-    invoked after every round, in order.
-    """
-    configurations = [initial_configuration(graph.vertices)]
-    edge_sets = []
-    for i, edges, config in iter_run(graph, rounds, seed, lazy, rest_probability):
-        configurations.append(config)
-        edge_sets.append(edges)
-        for hook in hooks:
-            hook(i, edges, config)
-    parameters = {"rounds": rounds, "lazy": lazy, **graph.params}
-    return Trace(
-        configurations=tuple(configurations),
-        edge_sets=tuple(edge_sets),
-        seed=seed,
-        parameters=parameters,
-    )

@@ -192,35 +192,3 @@ class EvolvingGraph:
     schedule: Callable[[int], EdgeSet]
     params: dict = field(default_factory=dict)
     rounds: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class PseudoForest:
-    """Directed parent arcs (child, parent), outdegree <= 1 per vertex.
-
-    `dangling` records parent pointers whose physical edge was absent in the
-    round's edge set: a graph-consistency violation reported as data rather
-    than silently dropped.
-    """
-
-    arcs: frozenset
-    dangling: tuple = ()
-
-
-def resulting_forest(config: Configuration, edges: EdgeSet) -> PseudoForest:
-    """The pseudoforest a round leaves behind: parent arcs filtered by E_i.
-
-    Nodes with no parent contribute no arc.  A parent arc without a matching
-    edge lands in `dangling` instead of `arcs`.
-    """
-    arcs = []
-    dangling = []
-    for nid in sorted(config.states):
-        parent = config.states[nid].parent
-        if parent is None:
-            continue
-        if make_edge(nid, parent) in edges:
-            arcs.append((nid, parent))
-        else:
-            dangling.append((nid, parent))
-    return PseudoForest(arcs=frozenset(arcs), dangling=tuple(dangling))

@@ -16,6 +16,7 @@ from dynaforest.analysis import run_all_checks, trees_per_component
 from dynaforest.model import Action, Status, make_edge
 from dynaforest.topology import ContactRecord, EdgeMarkovParams
 
+from test_engine import run_history
 from test_oracle_equivalence import sweep
 
 
@@ -74,8 +75,9 @@ def test_criterion_2_instant_regeneration():
     complete = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for k in (1, 5, 20):
         # phase 1: converge to a single spanning tree on the complete graph
-        probe = engine.run(topology.scripted(range(1, n + 1), [complete]), warmup, seed=0)
-        settled = probe.configurations[-1]
+        probe = topology.scripted(range(1, n + 1), [complete])
+        configurations, _ = run_history(probe, warmup, seed=0)
+        settled = configurations[-1]
         roots = [u for u, st in settled.states.items() if st.status is Status.T]
         assert len(roots) == 1, "warmup did not reach a single tree"
         arcs = sorted(
@@ -86,12 +88,12 @@ def test_criterion_2_instant_regeneration():
 
         # phase 2: identical run, then the adversary severs k tree edges at once
         script = [complete] * warmup + [[e for e in complete if e not in severed]]
-        trace = engine.run(
+        configurations, edge_sets = run_history(
             topology.scripted(range(1, n + 1), script), warmup + 1, seed=0
         )
-        assert trace.configurations[warmup] == settled  # determinism replayed phase 1
-        cut_round = trace.configurations[warmup + 1]
-        cut_edges = trace.edge_sets[warmup]
+        assert configurations[warmup] == settled  # determinism replayed phase 1
+        cut_round = configurations[warmup + 1]
+        cut_edges = edge_sets[warmup]
 
         assert run_all_checks(cut_round, cut_edges) == []
         roots_after = [u for u, st in cut_round.states.items() if st.status is Status.T]

@@ -14,7 +14,6 @@ from dynaforest.analysis import (
     check_state_consistency,
     connected_components,
     run_all_checks,
-    summarize,
     trees_per_component,
 )
 from dynaforest.model import EvolvingGraph, Status, make_edge_set
@@ -221,22 +220,30 @@ class TestTreesPerComponent:
         assert trees_per_component(config, make_edge_set([(1, 2)])).ratio == 1.0
 
     def test_two_counting_paths_agree_mid_run(self):
-        from dynaforest.model import resulting_forest
-
         params = topology.EdgeMarkovParams(n=14, p_birth=0.3, p_death=0.3, seed=21)
         for i, edges, config in engine.iter_run(topology.edge_markov(params), 200, seed=21):
             metrics = trees_per_component(config, edges)
-            forest = resulting_forest(config, edges)
-            with_arc = {child for child, _ in forest.arcs}
+            # nodes whose parent pointer is an arc of the resulting forest
+            with_arc = {
+                u
+                for u, st in config.states.items()
+                if st.parent is not None and model.make_edge(u, st.parent) in edges
+            }
             roots = len(config.states) - len(with_arc)
             assert metrics.trees == roots
+
+
+def run_summary(graph, rounds, seed):
+    acc = MetricsAccumulator()
+    for i, edges, config in engine.iter_run(graph, rounds, seed):
+        acc(i, edges, config)
+    return acc.summary()
 
 
 class TestSummaries:
     def test_single_round_empty_edges(self):
         graph = topology.scripted([1, 2, 3], [[]])
-        trace = engine.run(graph, rounds=1, seed=0)
-        summary = summarize(trace)
+        summary = run_summary(graph, rounds=1, seed=0)
         assert summary.mean_trees_per_component == 1.0
         assert summary.fraction_optimal_rounds == 1.0
 
@@ -254,8 +261,7 @@ class TestSummaries:
 
     def test_csv_shapes(self):
         graph = topology.scripted([1, 2], [[(1, 2)]])
-        trace = engine.run(graph, rounds=3, seed=0)
-        summary = summarize(trace)
+        summary = run_summary(graph, rounds=3, seed=0)
         lines = analysis.round_csv_lines(summary)
         assert lines[0] == "round,components,trees,ratio"
         assert len(lines) == 4
@@ -263,14 +269,6 @@ class TestSummaries:
         agg = analysis.aggregate_csv_lines([(0, summary)])
         assert agg[0] == "seed,meanTreesPerComponent,fractionOptimalRounds"
         assert agg[1].startswith("0,")
-
-    def test_accumulator_matches_summarize(self):
-        params = topology.EdgeMarkovParams(n=9, p_birth=0.3, p_death=0.3, seed=2)
-        graph = topology.edge_markov(params)
-        acc = MetricsAccumulator()
-        trace = engine.run(graph, rounds=40, seed=2, hooks=[acc])
-        assert acc.summary() == summarize(trace)
-
 
     def test_accumulator_matches_fresh_metrics_over_repeated_edge_sets(self, monkeypatch):
         walked = []
@@ -321,9 +319,12 @@ class TestSummaries:
 
 
 class TestCheckerHook:
+    """`run_all_checks` on every round of a run, as `cli run` attaches it."""
+
     def test_clean_run_passes(self):
         graph = topology.scripted([1, 2, 3], [[(1, 2), (2, 3)]])
-        engine.run(graph, rounds=20, seed=0, hooks=[analysis.checker_hook()])
+        for i, edges, config in engine.iter_run(graph, rounds=20, seed=0):
+            assert run_all_checks(config, edges) == []
 
     def test_all_checks_combined(self):
         config = make_config(

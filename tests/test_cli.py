@@ -1,10 +1,15 @@
+import argparse
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import pytest
 
 from dynaforest import cli, engine
 from dynaforest.cli import (
     ConfigError,
+    RunConfig,
     build_run_config,
     build_arg_parser,
     fig2_graph,
@@ -18,6 +23,40 @@ from dynaforest.model import Action, Status
 def run_args(*extra):
     return ["run", "--adversary", "edge-markov", "--nodes", "10", "--p-birth", "0.3",
             "--p-death", "0.3", "--rounds", "40", *extra]
+
+
+def run_long_options():
+    """The `run` subparser's long flags, except --config and --help."""
+    parser = build_arg_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(
+        flag
+        for action in sub.choices["run"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--config", "--help")
+    )
+
+
+# flag -> (file value, flag argv, RunConfig field, value from the file, value from the flag)
+RUN_OPTION_VALUES = {
+    "--adversary": ("scripted", ["--adversary", "trace"], "adversary", "scripted", "trace"),
+    "--nodes": ("5", ["--nodes", "8"], "nodes", 5, 8),
+    "--p-birth": ("0.1", ["--p-birth", "0.2"], "p_birth", 0.1, 0.2),
+    "--p-death": ("0.9", ["--p-death", "0.8"], "p_death", 0.9, 0.8),
+    "--trace-file": ("a.txt", ["--trace-file", "b.txt"], "trace_file", "a.txt", "b.txt"),
+    "--script-file": ("a.txt", ["--script-file", "b.txt"], "script_file", "a.txt", "b.txt"),
+    "--rounds-per-second": (
+        "5/2", ["--rounds-per-second", "4"], "rounds_per_second", Fraction(5, 2), Fraction(4)
+    ),
+    "--rounds": ("7", ["--rounds", "9"], "rounds", 7, 9),
+    "--seeds": ("3-5", ["--seeds", "1,2"], "seeds", (3, 4, 5), (1, 2)),
+    "--lazy": ("true", ["--no-lazy"], "lazy", True, False),
+    "--no-lazy": ("false", ["--no-lazy"], "lazy", True, False),
+    "--checkers": ("false", ["--checkers"], "checkers", False, True),
+    "--no-checkers": ("true", ["--checkers"], "checkers", False, True),
+    "--rest-probability": ("0.2", ["--rest-probability", "0.7"], "rest_probability", 0.2, 0.7),
+    "--out": ("from-file", ["--out", "from-flag"], "out", "from-file", "from-flag"),
+}
 
 
 class TestConfigParsing:
@@ -52,6 +91,79 @@ class TestConfigParsing:
         args = parser.parse_args(["run", "--config", str(cfg)])
         with pytest.raises(ConfigError, match="frobnicate"):
             build_run_config(args)
+
+    @pytest.mark.parametrize("option", run_long_options())
+    def test_every_run_option_from_file_and_flag(self, tmp_path, option):
+        file_value, flag, name, from_file, from_flag = RUN_OPTION_VALUES[option]
+        assert from_file != getattr(RunConfig(), name)  # the file value is seen to arrive
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text("1 2 0 5\n")
+        cfg = tmp_path / "run.cfg"
+        # both input files exist, so every adversary passes validation
+        cfg.write_text(f"trace-file={contacts}\nscript-file={contacts}\n{option[2:]}={file_value}\n")
+        parser = build_arg_parser()
+        alone = build_run_config(parser.parse_args(["run", "--config", str(cfg)]))
+        assert getattr(alone, name) == from_file
+        both = build_run_config(parser.parse_args(["run", "--config", str(cfg), *flag]))
+        assert getattr(both, name) == from_flag
+
+    @pytest.mark.parametrize(
+        "text, lazy",
+        [("1", True), ("true", True), ("Yes", True), ("on", True),
+         ("0", False), ("false", False), ("no", False), ("OFF", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, text, lazy):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lazy={text}\n")
+        args = build_arg_parser().parse_args(["run", "--config", str(cfg)])
+        assert build_run_config(args).lazy is lazy
+
+    def test_bad_boolean_names_the_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-checkers=maybe\n")
+        args = build_arg_parser().parse_args(["run", "--config", str(cfg)])
+        with pytest.raises(ConfigError, match="bad value 'maybe' for config key 'no-checkers'"):
+            build_run_config(args)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--p-birth", "1.5"],
+            ["--p-death", "-0.1"],
+            ["--p-birth", "nan"],
+            ["--lazy", "--rest-probability", "7"],
+            ["--rest-probability", "nan"],
+        ],
+        ids=["p-birth-above-1", "negative-p-death", "nan-p-birth", "rest-7", "nan-rest"],
+    )
+    def test_probability_outside_unit_interval_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = main(run_args(*flags, "--out", str(out)))
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"config error: {flags[-2][2:]} must be in [0, 1], got {float(flags[-1])}\n"
+        assert not out.exists()
+
+    def test_zero_denominator_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(run_args("--rounds-per-second", "1/0", "--out", str(out)))
+        assert exited.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --rounds-per-second: zero denominator in '1/0'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_denominator_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=4\nrounds-per-second=1/0\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: line 2: bad value '1/0' for config key 'rounds-per-second'\n"
+        )
+        assert not out.exists()
 
     def test_zero_seeds_is_usage_error(self, capsys):
         rc = main(run_args("--seeds", ","))
@@ -168,6 +280,56 @@ class TestCmdRun:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "line 2" in err
+        assert not out.exists()
+
+
+class ForkPool(ProcessPoolExecutor):
+    """A process pool whose workers fork, so they inherit a test's patches."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+
+class TestSeedFailure:
+    def fail_seed(self, monkeypatch, failing_seed, fail):
+        real_build_graph = cli.build_graph
+
+        def build_graph(config, seed):
+            if seed == failing_seed:
+                fail()
+            return real_build_graph(config, seed)
+
+        monkeypatch.setattr(cli, "build_graph", build_graph)
+
+    def boom(self):
+        raise RuntimeError("boom")
+
+    def test_exception_in_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
+        self.fail_seed(monkeypatch, 1, self.boom)
+        out = tmp_path / "out"
+        assert main(run_args("--seeds", "0-2", "--out", str(out))) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == "seed 1 failed: RuntimeError: boom\n"
+        assert not out.exists()
+
+    def test_exception_in_a_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
+        self.fail_seed(monkeypatch, 1, self.boom)
+        out = tmp_path / "out"
+        assert main(run_args("--seeds", "0-2", "--out", str(out))) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == "seed 1 failed: RuntimeError: boom\n"
+        assert not out.exists()
+
+    def test_dead_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
+        self.fail_seed(monkeypatch, 0, lambda: os._exit(1))
+        out = tmp_path / "out"
+        assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("seed 0 failed: BrokenProcessPool: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from dynaforest import analysis, engine, model, topology
-from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run, run_round
+from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
 
 
@@ -9,11 +9,20 @@ def static_graph(n, edges):
     return topology.scripted(range(1, n + 1), [edges])
 
 
+def run_history(graph, rounds, seed, lazy=False):
+    """C_0..C_rounds and E_1..E_rounds of one `iter_run`."""
+    configurations = [initial_configuration(graph.vertices)]
+    edge_sets = []
+    for _, edges, config in engine.iter_run(graph, rounds, seed, lazy):
+        configurations.append(config)
+        edge_sets.append(edges)
+    return configurations, edge_sets
+
+
 class TestRunRound:
     def test_two_roots_merge_over_stable_edge(self):
         graph = static_graph(8, [(2, 8)])
-        trace = run(graph, rounds=2, seed=0)
-        c1, c2 = trace.configurations[1], trace.configurations[2]
+        _, c1, c2 = run_history(graph, rounds=2, seed=0)[0]
         assert c1.states[2].out_message.action is Action.SELECT
         assert c1.states[2].out_message.target == 8
         assert c2.states[2].parent == 8 and c2.states[2].status is Status.N
@@ -21,8 +30,7 @@ class TestRunRound:
 
     def test_select_cancelled_when_edge_vanishes(self):
         graph = topology.scripted([2, 8], [[(2, 8)], []])
-        trace = run(graph, rounds=2, seed=0)
-        c2 = trace.configurations[2]
+        c2 = run_history(graph, rounds=2, seed=0)[0][2]
         assert c2.states[2].status is Status.T and c2.states[2].parent is None
         assert c2.states[8].children == frozenset()
 
@@ -37,8 +45,7 @@ class TestRunRound:
     def test_triangle_of_roots_selects_into_star(self):
         # hand-executed oracle on ids 1 < 4 < 8, all mutually visible
         graph = static_graph(8, [(1, 4), (1, 8), (4, 8)])
-        trace = run(graph, rounds=2, seed=0)
-        c1, c2 = trace.configurations[1], trace.configurations[2]
+        _, c1, c2 = run_history(graph, rounds=2, seed=0)[0]
         assert c1.states[1].out_message.target == 8
         assert c1.states[4].out_message.target == 8
         assert c2.states[1].parent == 8 and c2.states[4].parent == 8
@@ -54,46 +61,32 @@ class TestRunRound:
 class TestRun:
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError):
-            run(static_graph(3, []), rounds=0, seed=0)
+            next(engine.iter_run(static_graph(3, []), rounds=0, seed=0))
 
     def test_one_round_gives_two_configurations(self):
-        trace = run(static_graph(3, []), rounds=1, seed=0)
-        assert len(trace.configurations) == 2
-        assert len(trace.edge_sets) == 1
+        configurations, edge_sets = run_history(static_graph(3, []), rounds=1, seed=0)
+        assert len(configurations) == 2
+        assert len(edge_sets) == 1
 
     def test_identical_inputs_give_identical_traces(self):
         params = topology.EdgeMarkovParams(n=15, p_birth=0.3, p_death=0.3, seed=9)
-        t1 = run(topology.edge_markov(params), rounds=60, seed=9, lazy=True)
-        t2 = run(topology.edge_markov(params), rounds=60, seed=9, lazy=True)
-        assert t1.configurations == t2.configurations
-        assert t1.edge_sets == t2.edge_sets
+        t1 = run_history(topology.edge_markov(params), rounds=60, seed=9, lazy=True)
+        t2 = run_history(topology.edge_markov(params), rounds=60, seed=9, lazy=True)
+        assert t1 == t2
 
-    def test_hooks_see_every_round(self):
-        seen = []
-        run(
-            static_graph(4, [(1, 2)]),
-            rounds=5,
-            seed=0,
-            hooks=[lambda i, e, c: seen.append((i, c.round))],
-        )
+    def test_iter_run_yields_every_round(self):
+        seen = [(i, c.round) for i, _, c in engine.iter_run(static_graph(4, [(1, 2)]), 5, 0)]
         assert seen == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
-
-    def test_hook_exception_aborts(self):
-        def bomb(i, e, c):
-            raise RuntimeError("stop here")
-
-        with pytest.raises(RuntimeError, match="stop here"):
-            run(static_graph(4, [(1, 2)]), rounds=5, seed=0, hooks=[bomb])
 
     def test_complete_graph_converges_to_single_root(self):
         n = 8
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        trace = run(static_graph(n, edges), rounds=200, seed=5, lazy=True)
-        final = trace.configurations[-1]
+        configurations, edge_sets = run_history(static_graph(n, edges), 200, seed=5, lazy=True)
+        final = configurations[-1]
         roots = [u for u, st in final.states.items() if st.status is Status.T]
         assert len(roots) == 1
-        for i, e in enumerate(trace.edge_sets, start=1):
-            assert analysis.run_all_checks(trace.configurations[i], e) == []
+        for i, e in enumerate(edge_sets, start=1):
+            assert analysis.run_all_checks(configurations[i], e) == []
 
 
 class TestRoundProperties:
@@ -139,9 +132,9 @@ class TestRoundProperties:
         # spans two nodes, so asserted at engine level over a churny run
         params = topology.EdgeMarkovParams(n=16, p_birth=0.35, p_death=0.35, seed=4)
         graph = topology.edge_markov(params)
-        trace = run(graph, rounds=300, seed=4)
-        for i, edges in enumerate(trace.edge_sets, start=1):
-            before = trace.configurations[i - 1]
+        configurations, edge_sets = run_history(graph, rounds=300, seed=4)
+        for i, edges in enumerate(edge_sets, start=1):
+            before = configurations[i - 1]
             for u, st in before.states.items():
                 out = st.out_message
                 if out.action is Action.HELLO:
@@ -158,10 +151,10 @@ class TestRoundProperties:
 
     def test_score_swap_on_successful_flips(self):
         params = topology.EdgeMarkovParams(n=16, p_birth=0.3, p_death=0.3, seed=6)
-        trace = run(topology.edge_markov(params), rounds=200, seed=6)
+        configurations, edge_sets = run_history(topology.edge_markov(params), 200, seed=6)
         swaps = 0
-        for i, edges in enumerate(trace.edge_sets, start=1):
-            before, after = trace.configurations[i - 1], trace.configurations[i]
+        for i, edges in enumerate(edge_sets, start=1):
+            before, after = configurations[i - 1], configurations[i]
             for u, st in before.states.items():
                 out = st.out_message
                 if out.action is not Action.FLIP or make_edge(u, out.target) not in edges:

@@ -11,9 +11,8 @@ from dynaforest.model import (
     Status,
     make_edge,
     make_edge_set,
-    resulting_forest,
 )
-from dynaforest import engine, topology
+from dynaforest import analysis, engine, topology
 
 
 def make_state(nid, status=Status.T, parent=None, children=(), score=None, out_message=None):
@@ -96,51 +95,49 @@ class TestNodeStateInvariants:
 
 
 class TestResultingForest:
+    """The pseudoforest a round leaves: parent arcs whose edge is in E_i.
+
+    `check_graph_consistency` reports every parent arc without its edge, and
+    `check_correct_forest` certifies the arcs that have one.
+    """
+
     def test_initial_configuration_has_no_arcs(self):
         config = engine.initial_configuration([1, 2, 3])
-        forest = resulting_forest(config, make_edge_set([(1, 2), (2, 3)]))
-        assert forest.arcs == frozenset()
-        assert forest.dangling == ()
+        edges = make_edge_set([(1, 2), (2, 3)])
+        assert all(st.parent is None for st in config.states.values())
+        assert analysis.check_graph_consistency(config, edges) == []
+        assert analysis.check_correct_forest(config, edges) == []
 
     def test_direct_construction(self):
         config = make_config(
             1, [make_state(2, status=Status.N, parent=8), make_state(8, children={2})]
         )
-        forest = resulting_forest(config, make_edge_set([(2, 8)]))
-        assert forest.arcs == frozenset({(2, 8)})
+        edges = make_edge_set([(2, 8)])
+        assert analysis.check_graph_consistency(config, edges) == []
+        assert analysis.check_correct_forest(config, edges) == []
 
     def test_dangling_arc_reported_not_dropped(self):
         config = make_config(
             1, [make_state(2, status=Status.N, parent=8), make_state(8, children={2})]
         )
-        forest = resulting_forest(config, frozenset())
-        assert forest.arcs == frozenset()
-        assert forest.dangling == ((2, 8),)
+        violations = analysis.check_graph_consistency(config, frozenset())
+        assert [v.detail for v in violations] == [
+            "node 2 has parent 8 but edge {2,8} is absent"
+        ]
 
     def test_matches_independent_scan_after_random_run(self):
         # Independent oracle: a second, naive scan over raw parent variables.
         params = topology.EdgeMarkovParams(n=12, p_birth=0.25, p_death=0.25, seed=3)
         graph = topology.edge_markov(params)
-        trace = engine.run(graph, rounds=50, seed=3)
-        edges = trace.edge_sets[-1]
-        config = trace.configurations[-1]
-
-        expected = set()
-        for nid, st in config.states.items():
-            if st.parent is None:
-                continue
-            pair = (min(nid, st.parent), max(nid, st.parent))
-            if pair in edges:
-                expected.add((nid, st.parent))
-        forest = resulting_forest(config, edges)
-        assert forest.arcs == frozenset(expected)
-        assert forest.dangling == ()
-        # arc count = nodes with a present parent edge
-        assert len(forest.arcs) == sum(
-            1
-            for nid, st in config.states.items()
-            if st.parent is not None and (min(nid, st.parent), max(nid, st.parent)) in edges
-        )
+        for i, edges, config in engine.iter_run(graph, rounds=50, seed=3):
+            dangling = [
+                (nid, st.parent)
+                for nid, st in config.states.items()
+                if st.parent is not None
+                and (min(nid, st.parent), max(nid, st.parent)) not in edges
+            ]
+            assert dangling == []
+            assert analysis.check_graph_consistency(config, edges) == []
 
     def test_every_vertex_has_outdegree_at_most_one(self):
         config = make_config(
@@ -151,6 +148,7 @@ class TestResultingForest:
                 make_state(3, children={1, 2}),
             ],
         )
-        forest = resulting_forest(config, make_edge_set([(1, 3), (2, 3)]))
-        children = [child for child, _ in forest.arcs]
+        arcs = [(u, st.parent) for u, st in config.states.items() if st.parent is not None]
+        children = [child for child, _ in arcs]
         assert len(children) == len(set(children))
+        assert analysis.check_correct_forest(config, make_edge_set([(1, 3), (2, 3)])) == []
