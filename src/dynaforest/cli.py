@@ -140,7 +140,8 @@ def add_run_options(parser: argparse.ArgumentParser) -> dict:
 
     The one declaration of each setting's name, type and help, for the
     command line and the config file alike.  Defaults live on `RunConfig`:
-    an option not given parses to None.
+    an option not given parses to None, and each help text ends with the
+    default of the `RunConfig` field of the same name.
     """
     add = parser.add_argument
     boolean = argparse.BooleanOptionalAction
@@ -159,7 +160,21 @@ def add_run_options(parser: argparse.ArgumentParser) -> dict:
         add("--rest-probability", type=float, help="chance a lazy root rests in a round"),
         add("--out", help="output directory"),
     ]
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for action in actions:
+        action.help += f" (default: {_shown(defaults[action.dest])})"
     return {flag: action for action in actions for flag in action.option_strings}
+
+
+def _shown(value) -> str:
+    """A `RunConfig` default as a user would write it."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):  # seeds
+        return ",".join(map(str, value))
+    return str(value)
 
 
 _BOOLEANS = {

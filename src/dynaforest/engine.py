@@ -1,9 +1,14 @@
 """Synchronous round scheduler: send, receive, compute.
 
-Each round the engine delivers every node's prepared message across every
-present edge in both directions (reciprocity: an edge delivers both ways or
-not at all), then computes the new states from the pre-round snapshot.  No
-node ever sees a same-round update of another node.
+Each round the engine builds, once, the outbox: every node's message
+prepared in the previous round, taken from the pre-round snapshot.  It also
+groups once, by target, the outbox messages that carry one (FLIP/SELECT).
+A stepped node reads its sender set, which is its row of the round's
+adjacency: an edge delivers both ways or not at all (reciprocity).  It reads
+the senders' messages from the outbox and its own FLIP/SELECTs from that
+grouping, so no message is copied per node.  New states are computed from
+the pre-round snapshot alone; no node ever sees a same-round update of
+another node.
 
 A round steps only its dirty nodes.  Node u is dirty in round i+1 when
 - its state changed in round i;
@@ -86,7 +91,7 @@ def run_round(
     *,
     carry: Optional[RoundCarry] = None,
 ) -> Configuration:
-    """Advance one round: deliver the prepared messages over `edges`, step the dirty nodes.
+    """Advance one round: step the dirty nodes on the messages sent over `edges`.
 
     Without `carry` every node is dirty.  With it, the round reads what the
     previous round left there and leaves what the next round needs; one
@@ -110,19 +115,29 @@ def run_round(
             previous, dirty = carry.adjacency, carry.dirty
             if len(dirty) < everyone:
                 dirty = dirty.union(u for u, vs in neighbours.items() if vs != previous[u])
+    # The pre-round outbox, and its FLIP/SELECTs grouped by target.  Grouped
+    # by target rather than action, so that node_step also sees, and rejects,
+    # a HELLO that names a target.
+    outbox = {v: st.out_message for v, st in states.items()}
+    aimed = {}
+    for msg in outbox.values():
+        if msg.target is not None:
+            aimed.setdefault(msg.target, []).append(msg)
     new_states = dict(states)
     next_dirty = set()
     for u in sorted(dirty):
         prev = states[u]
-        received = [states[v].out_message for v in neighbours[u]]
-        st = new_states[u] = node_step(prev, received, rngs[u], lazy, rest_probability)
+        senders = neighbours[u]
+        st = new_states[u] = node_step(
+            prev, senders, outbox, aimed.get(u, ()), rngs[u], lazy, rest_probability
+        )
         if len(next_dirty) == everyone:
             continue
         # node_step returns `prev`, or keeps its out message, exactly when equal
         if st is not prev:
             next_dirty.add(u)
             if st.out_message is not prev.out_message:
-                next_dirty.update(neighbours[u])
+                next_dirty.update(senders)
         if (st.status is _T and st.children) or st.out_message.action is not _HELLO:
             next_dirty.add(u)
     if carry is not None:

@@ -1,32 +1,47 @@
-"""The per-node automaton: a pure function from (previous state, received
-messages, per-node randomness) to the node's next state.
+"""The per-node automaton: a pure function from (previous state, this
+round's senders and their messages, per-node randomness) to the node's next
+state.
 
-`node_step` is the one implementation of the protocol's rules.  Each round a
-node, in this order:
+`node_step` is the one implementation of the protocol's rules.  It reads a
+round's messages in three pieces the engine builds once per round, none of
+them copied per node:
 
-1. drops the children it heard nothing from (their edge vanished);
-2. regenerates a token if its parent link vanished;
-3. commits its own pending FLIP/SELECT if the target edge survived; a FLIP
-   also takes the smaller of the two swapped scores;
-4. processes the received messages: the sender of a FLIP/SELECT aimed at
-   it becomes a child (a FLIP also hands over the token and the larger
-   score); among the others, the token holder with the greatest score is
-   the merge contender;
-5. prepares the next message: a SELECT to a contender with a greater score,
-   else a FLIP to a random child (a lazy root may rest instead), else a HELLO.
+- `senders`: the node's neighbours in E_i, the engine's adjacency row.  By
+  reciprocity these are exactly the nodes it hears this round.
+- `outbox`: every node's message prepared in the previous round, by sender.
+- `aimed`: the outbox messages whose target is this node.  A sender outside
+  `senders` lost its edge this round, so its message is ignored.
 
-The mailbox and the contender live only for one step.  Scores are unique
-network-wide, so the contender scan never meets a tie and the order of the
-received messages does not matter.  A step whose message or state equals the
-previous one returns the previous object, so callers can tell "unchanged" by
-identity; every new object is still built, and validated, as usual.
+Each round a node, in this order:
+
+1. drops the children that are not senders (their edge vanished);
+2. regenerates a token if its parent is not a sender;
+3. commits its own pending FLIP/SELECT if its target is a sender; a FLIP
+   also takes the smaller of the two swapped scores, read from the outbox;
+4. adopts the senders of the FLIP/SELECTs aimed at it as children (a FLIP
+   also hands over the token and the larger score);
+5. prepares the next message: a token holder SELECTs the merge contender
+   (of the senders announcing a token, the one with the greatest score, if
+   that score is greater than its own), else FLIPs to a random child (a
+   lazy root may rest instead); any other node sends a HELLO.
+
+The status is final after step 4 and only a token holder can SELECT, so a
+node that ends step 4 without a token skips the contender scan: the scan
+could not change its message.  A FLIP aimed at the node never makes its
+sender the contender, because step 4 already raised the node's score to at
+least the FLIP's.  Scores are unique network-wide, so the scan never meets a
+tie and the order of the senders does not matter.
+
+A step whose message or state equals the previous one returns the previous
+object, so callers can tell "unchanged" by identity; every new object is
+still built, and validated, as usual.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .model import Action, Message, NodeId, NodeState, Status
 
@@ -94,68 +109,84 @@ def choose_flip_target(children: frozenset, rng: NodeRng) -> NodeId:
 
 def node_step(
     prev: NodeState,
-    received: Sequence[Message],
+    senders: AbstractSet[NodeId],
+    outbox: Mapping[NodeId, Message],
+    aimed: Iterable[Message],
     rng: NodeRng,
     lazy: bool = False,
     rest_probability: float = LAZY_REST_PROBABILITY,
 ) -> NodeState:
     """One compute phase.  Pure: depends only on the arguments.
 
-    `received` holds exactly one message per physical neighbor this round
-    (the engine guarantees reciprocity); `prev.out_message` is the message
-    this node sent at the start of the round.  Returns `prev` itself when the
-    new state equals it, and keeps `prev.out_message` when the new message
-    equals it.
+    - `senders`: this node's neighbours in E_i, exactly the nodes it hears
+      this round (the engine guarantees reciprocity).
+    - `outbox`: maps at least every sender to the message it prepared in
+      the previous round.
+    - `aimed`: the outbox messages whose target is this node.  Those from
+      nodes outside `senders` are ignored: their edge vanished.
+
+    `prev.out_message` is the message this node sent at the start of the
+    round.  No argument is mutated; the engine shares them between steps.
+
+    Only a node that holds a token after adopting its children scans the
+    senders for a merge contender.  That is exact: adoption is the last
+    change to the status, and only a token holder prepares a SELECT, so any
+    other node's message does not depend on the scan.
+
+    Returns `prev` itself when the new state equals it, and keeps
+    `prev.out_message` when the new message equals it.
     """
     nid = prev.id
-    mailbox = {m.sender: m for m in received}
-    children = {c for c in prev.children if c in mailbox}
+    children = {c for c in prev.children if c in senders}
     status = prev.status
     parent = prev.parent
     score = prev.score
 
     # Regenerate a token if the parent link is lost.
-    if status is _N and parent not in mailbox:
+    if status is _N and parent not in senders:
         status = _T
         parent = None
 
     # Commit our own FLIP/SELECT if it was successful.
     out = prev.out_message
-    if out.action is not _HELLO and out.target in mailbox:
+    if out.action is not _HELLO and out.target in senders:
         status = _N
         parent = out.target
         if out.action is _FLIP:
             children.discard(parent)
-            announced = mailbox[parent].score
+            announced = outbox[parent].score
             if announced < score:
                 score = announced
 
-    # Process the mailbox: adopt children, scan for a contender.  Scores are
-    # unique, so the strict `>` scan is independent of the message order.
-    contender: Optional[NodeId] = None
-    best_score = 0
-    for msg in received:
-        if msg.target == nid:
-            if msg.action is _FLIP:
-                status = _T
-                parent = None
-                children.add(msg.sender)
-                if msg.score > score:
-                    score = msg.score
-            elif msg.action is _HELLO:
-                raise ProtocolFault(
-                    f"node {nid}: received a HELLO targeted at itself from {msg.sender}"
-                )
-            else:
-                children.add(msg.sender)
-        elif msg.sender_status is _T and msg.score > best_score:
-            contender = msg.sender
-            best_score = msg.score
+    # Adopt the senders of the FLIP/SELECTs aimed at us.
+    for msg in aimed:
+        if msg.sender not in senders:
+            continue  # the edge vanished: the sender commits nothing either
+        if msg.action is _FLIP:
+            status = _T
+            parent = None
+            children.add(msg.sender)
+            if msg.score > score:
+                score = msg.score
+        elif msg.action is _HELLO:
+            raise ProtocolFault(
+                f"node {nid}: received a HELLO targeted at itself from {msg.sender}"
+            )
+        else:
+            children.add(msg.sender)
 
-    # Prepare the next message.
+    # Prepare the next message.  Only a token holder SELECTs, so only it
+    # scans; a FLIP aimed at us already raised our score to its own.
     action, target = _HELLO, None
     if status is _T:
-        if best_score > score:
+        contender: Optional[NodeId] = None
+        best_score = score
+        for v in senders:
+            msg = outbox[v]
+            if msg.score > best_score and msg.sender_status is _T:
+                contender = msg.sender
+                best_score = msg.score
+        if contender is not None:
             action, target = _SELECT, contender
         elif children:
             if lazy and rng.random() < rest_probability:

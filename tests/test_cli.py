@@ -107,6 +107,28 @@ class TestConfigParsing:
         both = build_run_config(parser.parse_args(["run", "--config", str(cfg), *flag]))
         assert getattr(both, name) == from_flag
 
+    @pytest.mark.parametrize("option", run_long_options())
+    def test_help_names_the_default(self, option):
+        parser = build_arg_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        run_parser = sub.choices["run"]
+        action = next(a for a in run_parser._actions if option in a.option_strings)
+        default = getattr(RunConfig(), action.dest)
+        if default is None:
+            shown = "none"
+        elif isinstance(default, bool):
+            shown = str(default).lower()
+        elif isinstance(default, tuple):
+            shown = ",".join(map(str, default))
+        else:
+            shown = str(default)
+        # one unwrapped line, as a wide terminal shows it
+        formatter = run_parser.formatter_class(run_parser.prog, width=10_000)
+        formatter.add_argument(action)
+        rendered = formatter.format_help().strip()
+        assert rendered.endswith(f"(default: {shown})")
+        assert rendered.count("(default:") == 1
+
     @pytest.mark.parametrize(
         "text, lazy",
         [("1", True), ("true", True), ("Yes", True), ("on", True),

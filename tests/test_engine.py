@@ -3,6 +3,7 @@ import pytest
 from dynaforest import analysis, engine, model, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
+from dynaforest.protocol import ProtocolFault
 
 
 def static_graph(n, edges):
@@ -33,6 +34,34 @@ class TestRunRound:
         c2 = run_history(graph, rounds=2, seed=0)[0][2]
         assert c2.states[2].status is Status.T and c2.states[2].parent is None
         assert c2.states[8].children == frozenset()
+
+    def test_flip_cancelled_when_edge_vanishes(self):
+        # 2 selects 8, joins it, and 8 flips the token back to 2 over an
+        # edge that vanishes in the FLIP's round
+        graph = topology.scripted([2, 8], [[(2, 8)], [(2, 8)], []])
+        _, _, c2, c3 = run_history(graph, rounds=3, seed=0)[0]
+        assert c2.states[8].out_message.action is Action.FLIP
+        assert c2.states[8].out_message.target == 2
+        assert c3.states[2].status is Status.T and c3.states[2].parent is None
+        assert c3.states[2].children == frozenset()
+        assert c3.states[2].score == c2.states[2].score
+        assert c3.states[8].status is Status.T and c3.states[8].children == frozenset()
+
+    def test_targeted_hello_is_a_fault(self, monkeypatch):
+        # such a message cannot be constructed normally; force one into C_0
+        # to check that it reaches its target and is treated as an engine bug
+        real_initial_state = engine.initial_state
+
+        def forged_initial_state(u):
+            state = real_initial_state(u)
+            if u == 2:
+                object.__setattr__(state.out_message, "target", 1)
+            return state
+
+        monkeypatch.setattr(engine, "initial_state", forged_initial_state)
+        runs = engine.iter_run(static_graph(3, [(1, 2), (2, 3)]), rounds=1, seed=0)
+        with pytest.raises(ProtocolFault, match="node 1: received a HELLO targeted at itself"):
+            next(runs)
 
     def test_empty_edge_set_only_refreshes_neighbors(self):
         # isolated roots hear nothing and change nothing
@@ -94,9 +123,9 @@ class TestRoundProperties:
         delivered = {}
         real_step = engine.node_step
 
-        def recording_step(prev, received, *args):
-            delivered[prev.id] = list(received)
-            return real_step(prev, received, *args)
+        def recording_step(prev, senders, outbox, aimed, *args):
+            delivered[prev.id] = (set(senders), outbox, list(aimed))
+            return real_step(prev, senders, outbox, aimed, *args)
 
         monkeypatch.setattr(engine, "node_step", recording_step)
         # at p = 0.4 every node is stepped in nearly every round; at p = 0.1
@@ -112,13 +141,16 @@ class TestRoundProperties:
                     neighbors[u].add(v)
                     neighbors[v].add(u)
                 assert delivered.keys() <= config.states.keys()
-                for u, received in delivered.items():
-                    senders = [m.sender for m in received]
-                    # exactly one message per edge endpoint, from each neighbor in E_i
-                    assert len(senders) == len(set(senders))
-                    assert set(senders) == neighbors[u]
-                    # each is the message the sender prepared in the previous round
-                    assert all(m == before.states[m.sender].out_message for m in received)
+                sent = {v: st.out_message for v, st in before.states.items()}
+                for u, (senders, outbox, aimed) in delivered.items():
+                    # u hears exactly its neighbours in E_i
+                    assert senders == neighbors[u]
+                    # each sender's message is the one it prepared in the previous round
+                    assert all(outbox[v] == sent[v] for v in senders)
+                    # aimed: every previous-round message whose target is u
+                    assert sorted(aimed, key=lambda m: m.sender) == [
+                        m for m in sent.values() if m.target == u
+                    ]
                 # a node that was not stepped keeps its state object
                 for u in config.states.keys() - delivered.keys():
                     assert config.states[u] is before.states[u]

@@ -5,15 +5,20 @@ Exhaustive sweeps cover every 3-round edge schedule on 3 nodes (8 edge
 subsets per round, 512 schedules) and every 2-round edge schedule on 4 nodes
 (64 edge subsets per round, 4096 schedules).  Hypothesis-drawn schedules on
 4-7 nodes, each under its own seed, cover longer runs in which edge sets
-repeat, so the engine's delta rounds skip quiet nodes.
+repeat, so the engine's delta rounds skip quiet nodes.  Edge-Markov runs on
+12 and 30 nodes cover dense, churny rounds: each node hears many senders,
+token holders among them, and several FLIP/SELECTs reach one node in one
+round.
 """
 
 import itertools
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynaforest import engine, topology
-from dynaforest.model import EvolvingGraph
+from dynaforest.model import EvolvingGraph, make_edge
 from dynaforest.protocol import LAZY_REST_PROBABILITY
 
 from naive_oracle import NaiveSimulation, engine_snapshot
@@ -123,3 +128,26 @@ def test_drawn_schedules_with_repeats_match_naive_interpreter(
     graph = EvolvingGraph(frozenset(vertices), lambda i: schedule[i - 1])
     mismatches = run_graph_both_ways(graph, len(schedule), seed, lazy, rest_probability)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("p_birth, p_death", [(0.9, 0.05), (0.3, 0.3)])
+@pytest.mark.parametrize("n", [12, 30])
+def test_dense_edge_markov_runs_match_naive_interpreter(n, p_birth, p_death, lazy):
+    params = topology.EdgeMarkovParams(n=n, p_birth=p_birth, p_death=p_death, seed=n)
+    graph = topology.edge_markov(params)
+    naive = NaiveSimulation(graph.vertices, seed=n, lazy=lazy)
+    before = engine.initial_configuration(graph.vertices)
+    most_aimed = 0  # FLIP/SELECTs that reached one node in one round
+    for i, edges, config in engine.iter_run(graph, rounds=150, seed=n, lazy=lazy):
+        naive.round(edges)
+        assert engine_snapshot(config) == naive.snapshot(), f"round {i}"
+        reached = Counter(
+            st.out_message.target
+            for u, st in before.states.items()
+            if st.out_message.target is not None
+            and make_edge(u, st.out_message.target) in edges
+        )
+        most_aimed = max(most_aimed, *reached.values(), 0)
+        before = config
+    assert most_aimed >= 2

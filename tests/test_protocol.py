@@ -23,9 +23,19 @@ def hello(sender, status, score):
     return Message(sender, status, HELLO, None, score)
 
 
+def delivery(prev, received):
+    """The engine's view of a message list, as `node_step` reads it.
+
+    (senders, outbox, aimed): the set of senders, each sender's message, and
+    the messages whose target is `prev`'s node.
+    """
+    outbox = {m.sender: m for m in received}
+    return set(outbox), outbox, [m for m in received if m.target == prev.id]
+
+
 def step(prev, received):
     """One non-lazy node_step with the node's own stream for seed 0."""
-    return node_step(prev, received, NodeRng(0, prev.id))
+    return node_step(prev, *delivery(prev, received), NodeRng(0, prev.id))
 
 
 class TestInitialState:
@@ -200,19 +210,19 @@ class TestPrepareMessage:
 class TestNodeStep:
     def test_isolated_root_falls_through_to_hello(self):
         prev = make_state(1, children={4})  # stale child, no longer a neighbor
-        out = node_step(prev, [], NodeRng(0, 1))
+        out = node_step(prev, *delivery(prev, []), NodeRng(0, 1))
         assert out.status is T and out.parent is None
         assert out.children == frozenset()
         assert out.out_message == Message(1, T, HELLO, None, 1)
 
     def test_root_spots_contender_and_prepares_select(self):
         prev = initial_state(1)
-        out = node_step(prev, [hello(4, T, 4)], NodeRng(0, 1))
+        out = node_step(prev, *delivery(prev, [hello(4, T, 4)]), NodeRng(0, 1))
         assert out.out_message == Message(1, N, SELECT, 4, 1)
 
     def test_token_regeneration_when_parent_disappears(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})
-        out = node_step(prev, [hello(5, N, 5)], NodeRng(0, 3))
+        out = node_step(prev, *delivery(prev, [hello(5, N, 5)]), NodeRng(0, 3))
         assert out.status is T and out.parent is None
         assert out.children == frozenset({5})  # pruned to current neighbors
 
@@ -222,7 +232,7 @@ class TestNodeStep:
             5, children={2}, score=9, out_message=Message(5, T, FLIP, 2, 9)
         )
         received = [hello(2, N, 2), Message(7, N, SELECT, 5, 7)]
-        out = node_step(prev, received, NodeRng(0, 5))
+        out = node_step(prev, *delivery(prev, received), NodeRng(0, 5))
         assert out.status is N and out.parent == 2
         assert out.children == frozenset({7})
         assert out.score == 2
@@ -232,21 +242,24 @@ class TestNodeStep:
         prev = make_state(2, children={4, 5})
         received = [hello(4, N, 4), hello(5, N, 5), hello(9, T, 9)]
         rng_a, rng_b = NodeRng(11, 2), NodeRng(11, 2)
-        assert node_step(prev, received, rng_a) == node_step(prev, received, rng_b)
+        inputs = delivery(prev, received)
+        assert node_step(prev, *inputs, rng_a) == node_step(prev, *inputs, rng_b)
 
     def test_targeted_hello_is_a_fault(self):
         # such a message cannot be constructed normally; force one to check
         # that node_step treats it as an engine bug rather than data
         fake = Message(2, N, SELECT, 1, 2)
         object.__setattr__(fake, "action", HELLO)
+        prev = initial_state(1)
         with pytest.raises(ProtocolFault):
-            node_step(initial_state(1), [fake], NodeRng(0, 1))
+            node_step(prev, *delivery(prev, [fake]), NodeRng(0, 1))
 
     def test_lazy_root_rests_with_certainty_at_probability_one(self):
         prev = make_state(8, children={2})
-        out = node_step(prev, [hello(2, N, 2)], NodeRng(0, 8), lazy=True, rest_probability=1.0)
+        inputs = delivery(prev, [hello(2, N, 2)])
+        out = node_step(prev, *inputs, NodeRng(0, 8), lazy=True, rest_probability=1.0)
         assert out.out_message.action is HELLO
-        out = node_step(prev, [hello(2, N, 2)], NodeRng(0, 8), lazy=True, rest_probability=0.0)
+        out = node_step(prev, *inputs, NodeRng(0, 8), lazy=True, rest_probability=0.0)
         assert out.out_message.action is FLIP
 
     @settings(max_examples=60)
@@ -289,7 +302,8 @@ class TestNodeStep:
                 for m in received
                 if not (m.sender == prev.parent and m.action is SELECT and m.target == nid)
             ]
-        out = node_step(prev, received, NodeRng(seed, nid), lazy=rnd.random() < 0.5)
+        lazy = rnd.random() < 0.5
+        out = node_step(prev, *delivery(prev, received), NodeRng(seed, nid), lazy=lazy)
         # local state consistency
         assert (out.status is T) == (out.parent is None)
         # parent never among children
@@ -373,15 +387,17 @@ class TestReuse:
         # second often changes nothing
         state, mailbox = prev, received
         for _ in range(2):
-            inputs = (state, mailbox, rng, lazy, rest_probability)
+            inputs = (state, *delivery(state, mailbox), rng, lazy, rest_probability)
             copies = copy.deepcopy(inputs)
-            oracle = naive_step(*copy.deepcopy(inputs))
+            oracle = naive_step(*copy.deepcopy((state, mailbox, rng, lazy, rest_probability)))
             if oracle[1] is not None and oracle[1] in oracle[2]:
                 # inputs no run produces: the new state is invalid
                 with pytest.raises(ValueError):
                     node_step(*inputs)
                 return
             result = node_step(*inputs)
+            # the engine shares senders, outbox and aimed between steps
+            assert inputs[1:4] == copies[1:4]
             assert result == node_step(*copies)
             assert engine_snapshot(make_config(1, [result]))[state.id] == oracle
             assert (result is state) == (result == state)
@@ -393,14 +409,16 @@ class TestReuse:
     def test_unchanged_node_returns_its_previous_state(self):
         prev = make_state(3, status=N, parent=8, children={5})
         received = [hello(5, N, 5), hello(8, N, 8)]
-        assert node_step(prev, received, NodeRng(0, 3)) is prev
+        assert node_step(prev, *delivery(prev, received), NodeRng(0, 3)) is prev
 
     def test_parent_change_alone_gives_a_new_state(self):
         # a FLIP aimed at a token holder that still names a parent clears the
         # parent; nothing else changes and the lazy node rests
         prev = make_state(3, status=T, parent=8, children={5})
         received = [Message(5, T, FLIP, 3, 1), hello(8, N, 8)]
-        out = node_step(prev, received, NodeRng(0, 3), lazy=True, rest_probability=1.0)
+        out = node_step(
+            prev, *delivery(prev, received), NodeRng(0, 3), lazy=True, rest_probability=1.0
+        )
         assert out.parent is None
         assert out.out_message is prev.out_message
 
@@ -408,12 +426,15 @@ class TestReuse:
         # the previous message announced the score the node now takes over
         prev = make_state(3, children={5}, out_message=hello(3, T, 7))
         received = [Message(5, T, FLIP, 3, 7)]
-        out = node_step(prev, received, NodeRng(0, 3), lazy=True, rest_probability=1.0)
+        out = node_step(
+            prev, *delivery(prev, received), NodeRng(0, 3), lazy=True, rest_probability=1.0
+        )
         assert out.score == 7
         assert out.out_message is prev.out_message
 
     def test_new_state_keeps_the_equal_message(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})  # 6 left
-        out = node_step(prev, [hello(5, N, 5), hello(8, N, 8)], NodeRng(0, 3))
+        received = [hello(5, N, 5), hello(8, N, 8)]
+        out = node_step(prev, *delivery(prev, received), NodeRng(0, 3))
         assert out.children == frozenset({5})
         assert out.out_message is prev.out_message
