@@ -16,7 +16,7 @@ from .model import (
     make_edge_set,
 )
 from .engine import initial_configuration, iter_run, run_round
-from .protocol import NodeRng, initial_state, node_step
+from .protocol import initial_state, node_rng, node_step
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "Configuration",
     "EvolvingGraph",
     "Message",
-    "NodeRng",
     "NodeState",
     "Status",
     "initial_configuration",
@@ -33,6 +32,7 @@ __all__ = [
     "iter_run",
     "make_edge",
     "make_edge_set",
+    "node_rng",
     "node_step",
     "run_round",
     "__version__",

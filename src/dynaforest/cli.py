@@ -21,15 +21,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analysis, engine, topology
-from .model import Configuration, EdgeSet, EvolvingGraph, Status, make_edge_set
-from .protocol import LAZY_REST_PROBABILITY, initial_state
+from .model import Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
+from .protocol import LAZY_REST_PROBABILITY
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -79,6 +80,10 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # a repeated seed would be simulated, and averaged, twice
+        repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} given twice")
         if self.adversary == "trace":
             if not self.trace_file:
                 raise ConfigError("the trace adversary needs --trace-file")
@@ -341,8 +346,7 @@ def _parse_edges_token_line(text: str) -> EdgeSet:
 
 def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration:
     """Rebuild a checkable configuration from one 'id:status:parent:score:children'
-    line.  The out message, which the checkers never read, takes its initial
-    value."""
+    line.  The pending action, which the checkers never read, is HELLO."""
     states = {}
     for token in text.split():
         fields = token.split(":")
@@ -358,13 +362,7 @@ def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration
                 if fields[4] == "-"
                 else frozenset(int(c) for c in fields[4].split(","))
             )
-            states[nid] = replace(
-                initial_state(nid),
-                status=status,
-                parent=parent,
-                score=score,
-                children=children,
-            )
+            states[nid] = NodeState(nid, status, parent, children, score)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
     try:

@@ -1,30 +1,34 @@
 """Synchronous round scheduler: send, receive, compute.
 
-Each round the engine builds, once, the outbox: every node's message
-prepared in the previous round, taken from the pre-round snapshot.  It also
-groups once, by target, the outbox messages that carry one (FLIP/SELECT).
-A stepped node reads its sender set, which is its row of the round's
+A node's message is a view of its state, so the engine hands `node_step`
+the pre-round snapshot itself: no message is built, copied or stored.  A
+stepped node reads its sender set, which is its row of the round's
 adjacency: an edge delivers both ways or not at all (reciprocity).  It reads
-the senders' messages from the outbox and its own FLIP/SELECTs from that
-grouping, so no message is copied per node.  New states are computed from
-the pre-round snapshot alone; no node ever sees a same-round update of
+the senders' states from the snapshot and the states whose FLIP/SELECT
+targets it from a grouping the round builds once.  New states are computed
+from the pre-round snapshot alone; no node ever sees a same-round update of
 another node.
 
 A round steps only its dirty nodes.  Node u is dirty in round i+1 when
-- its state changed in round i;
-- its incident edges differ between E_i and E_{i+1};
-- a neighbour's out_message changed in round i; or
+- its state or a neighbour's state changed in round i;
+- its incident edges differ between E_i and E_{i+1}; or
 - it ended round i holding a token with children (it will draw randomness)
   or with a FLIP/SELECT pending.
 
-Skipping a clean node is exact, by induction over the rounds.  Its state
-did not change in round i, so stepping it on round i's inputs returned (or,
-for a node skipped there too, would have returned) that same state.  Round
-i+1 gives it the same inputs: the same neighbours send the same messages,
-and it draws no randomness.  `node_step` is pure, so stepping it again would
-return an equal state; the node keeps its `NodeState` object instead.
+Skipping a clean node is exact, by induction over the rounds.  A step reads
+only the node's own state, its neighbours' states, its incident edges and
+its random stream.  A clean node's state did not change in round i, so
+stepping it on round i's inputs returned (or, for a node skipped there too,
+would have returned) that same state.  Round i+1 gives it the same inputs,
+and it draws no randomness.  `node_step` is pure, so stepping it again
+would return an equal state; the node keeps its `NodeState` object instead.
 `run_round` without a carried `RoundCarry` treats every node as dirty: the
 full round.
+
+The FLIP/SELECTs are grouped by target over the dirty nodes alone.  A node
+with a FLIP/SELECT pending is always dirty: it was marked by the round that
+prepared it, and a node that is not stepped keeps its state, so no clean
+node has one.  In a full round every node is dirty.
 
 One adjacency serves each E_i.  The engine gets it from `model.adjacency`,
 which walks the edges once and keeps its last result; the metrics'
@@ -33,9 +37,9 @@ that result back instead of walking E_i again.  The memo is exact: it hits
 only for the very edge-set object it was built from (frozen, and still
 alive, so no other set has its id) together with an equal vertex set, and
 nobody mutates the adjacency it returns.  Inside a round, `node_step`
-hands back the previous `NodeState` (or its out message) exactly when the new
-one would be equal, so the engine tells "changed" by identity alone.  A step
-that returned an equal copy would only mark nodes dirty that need not be; an
+hands back the previous `NodeState` exactly when the new one would be
+equal, so the engine tells "changed" by identity alone.  A step that
+returned an equal copy would only mark nodes dirty that need not be; an
 over-marked node is stepped as in a full round, so the result stays exact.
 
 The engine itself consumes no randomness: one master seed derives a private
@@ -44,11 +48,12 @@ stream per node, so reordering node computation cannot perturb outcomes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status, adjacency
-from .protocol import LAZY_REST_PROBABILITY, NodeRng, initial_state, node_step
+from .protocol import LAZY_REST_PROBABILITY, initial_state, node_rng, node_step
 
 # Enum members `run_round` reads for every stepped node, bound once.  On
 # CPython 3.11 a lookup such as `Status.T` costs about 0.17 us, a module
@@ -67,7 +72,7 @@ def initial_configuration(vertices) -> Configuration:
 
 
 def make_node_rngs(seed: int, vertices) -> dict:
-    return {u: NodeRng(seed, u) for u in sorted(vertices)}
+    return {u: node_rng(seed, u) for u in sorted(vertices)}
 
 
 @dataclass
@@ -85,7 +90,7 @@ class RoundCarry:
 def run_round(
     config: Configuration,
     edges: EdgeSet,
-    rngs: Mapping[NodeId, NodeRng],
+    rngs: Mapping[NodeId, random.Random],
     lazy: bool = False,
     rest_probability: float = LAZY_REST_PROBABILITY,
     *,
@@ -115,30 +120,27 @@ def run_round(
             previous, dirty = carry.adjacency, carry.dirty
             if len(dirty) < everyone:
                 dirty = dirty.union(u for u, vs in neighbours.items() if vs != previous[u])
-    # The pre-round outbox, and its FLIP/SELECTs grouped by target.  Grouped
-    # by target rather than action, so that node_step also sees, and rejects,
-    # a HELLO that names a target.
-    outbox = {v: st.out_message for v, st in states.items()}
+    order = sorted(dirty)
+    # The pending FLIP/SELECTs by target: only dirty nodes have one.
     aimed = {}
-    for msg in outbox.values():
-        if msg.target is not None:
-            aimed.setdefault(msg.target, []).append(msg)
+    for u in order:
+        st = states[u]
+        if st.target is not None:
+            aimed.setdefault(st.target, []).append(st)
     new_states = dict(states)
     next_dirty = set()
-    for u in sorted(dirty):
+    for u in order:
         prev = states[u]
         senders = neighbours[u]
         st = new_states[u] = node_step(
-            prev, senders, outbox, aimed.get(u, ()), rngs[u], lazy, rest_probability
+            prev, senders, states, aimed.get(u, ()), rngs[u], lazy, rest_probability
         )
         if len(next_dirty) == everyone:
             continue
-        # node_step returns `prev`, or keeps its out message, exactly when equal
-        if st is not prev:
+        if st is not prev:  # node_step returns `prev` exactly when equal
             next_dirty.add(u)
-            if st.out_message is not prev.out_message:
-                next_dirty.update(senders)
-        if (st.status is _T and st.children) or st.out_message.action is not _HELLO:
+            next_dirty.update(senders)
+        if (st.status is _T and st.children) or st.action is not _HELLO:
             next_dirty.add(u)
     if carry is not None:
         carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty

@@ -3,11 +3,11 @@ as a test oracle.
 
 Mutable node objects execute the per-round procedure line by line; nothing
 is shared with the package's implementation except the per-node random
-streams (dynaforest.protocol.NodeRng), so both sides draw identical flip
+streams (dynaforest.protocol.node_rng), so both sides draw identical flip
 targets and the resulting configurations are directly comparable.
 """
 
-from dynaforest.protocol import LAZY_REST_PROBABILITY, NodeRng
+from dynaforest.protocol import LAZY_REST_PROBABILITY, node_rng
 
 T = "T"
 N = "N"
@@ -108,7 +108,7 @@ class NaiveNode:
 class NaiveSimulation:
     def __init__(self, vertices, seed, lazy=False, rest_probability=LAZY_REST_PROBABILITY):
         self.nodes = {v: NaiveNode(v) for v in sorted(vertices)}
-        self.rngs = {v: NodeRng(seed, v) for v in sorted(vertices)}
+        self.rngs = {v: node_rng(seed, v) for v in sorted(vertices)}
         self.lazy = lazy
         self.rest_probability = rest_probability
 

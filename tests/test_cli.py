@@ -192,6 +192,26 @@ class TestConfigParsing:
         assert rc == cli.EXIT_USAGE
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds, repeated", [("0,0,1", 0), ("0-3,2", 2)])
+    def test_seed_given_twice_is_usage_error(self, tmp_path, capsys, seeds, repeated):
+        out = tmp_path / "out"
+        rc = main(run_args("--seeds", seeds, "--out", str(out)))
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: seed {repeated} given twice\n"
+        assert not out.exists()
+
+    def test_seed_given_twice_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=4\nseeds=0-3,2\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "config error: seed 2 given twice\n"
+        assert not out.exists()
+        # the flag replaces the file's seeds rather than adding to them
+        args = build_arg_parser().parse_args(["run", "--config", str(cfg), "--seeds", "2"])
+        assert build_run_config(args).seeds == (2,)
+
     def test_trace_adversary_requires_file(self):
         rc = main(["run", "--adversary", "trace", "--seeds", "1"])
         assert rc == cli.EXIT_USAGE
@@ -420,6 +440,20 @@ class TestCmdCheck:
         err = capsys.readouterr().err
         assert "round 1: ForestConsistency: node 1 has parent -3" in err
         assert "round 1: GraphConsistency: node 1 has parent -3 but edge {1,-3}" in err
+
+    def test_zero_score_is_a_parse_error(self, tmp_path, capsys):
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        tokens = lines[6].split()
+        nid, status, parent, _, children = tokens[0].split(":")
+        tokens[0] = ":".join([nid, status, parent, "0", children])
+        lines[6] = " ".join(tokens)
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace: ")
+        assert "score must be positive, got 0" in err
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -3,7 +3,6 @@ import pytest
 from dynaforest import analysis, engine, model, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
-from dynaforest.protocol import ProtocolFault
 
 
 def static_graph(n, edges):
@@ -46,22 +45,6 @@ class TestRunRound:
         assert c3.states[2].children == frozenset()
         assert c3.states[2].score == c2.states[2].score
         assert c3.states[8].status is Status.T and c3.states[8].children == frozenset()
-
-    def test_targeted_hello_is_a_fault(self, monkeypatch):
-        # such a message cannot be constructed normally; force one into C_0
-        # to check that it reaches its target and is treated as an engine bug
-        real_initial_state = engine.initial_state
-
-        def forged_initial_state(u):
-            state = real_initial_state(u)
-            if u == 2:
-                object.__setattr__(state.out_message, "target", 1)
-            return state
-
-        monkeypatch.setattr(engine, "initial_state", forged_initial_state)
-        runs = engine.iter_run(static_graph(3, [(1, 2), (2, 3)]), rounds=1, seed=0)
-        with pytest.raises(ProtocolFault, match="node 1: received a HELLO targeted at itself"):
-            next(runs)
 
     def test_empty_edge_set_only_refreshes_neighbors(self):
         # isolated roots hear nothing and change nothing
@@ -123,9 +106,9 @@ class TestRoundProperties:
         delivered = {}
         real_step = engine.node_step
 
-        def recording_step(prev, senders, outbox, aimed, *args):
-            delivered[prev.id] = (set(senders), outbox, list(aimed))
-            return real_step(prev, senders, outbox, aimed, *args)
+        def recording_step(prev, senders, states, aimed, *args):
+            delivered[prev.id] = (set(senders), states, list(aimed))
+            return real_step(prev, senders, states, aimed, *args)
 
         monkeypatch.setattr(engine, "node_step", recording_step)
         # at p = 0.4 every node is stepped in nearly every round; at p = 0.1
@@ -142,13 +125,14 @@ class TestRoundProperties:
                     neighbors[v].add(u)
                 assert delivered.keys() <= config.states.keys()
                 sent = {v: st.out_message for v, st in before.states.items()}
-                for u, (senders, outbox, aimed) in delivered.items():
+                for u, (senders, states, aimed) in delivered.items():
                     # u hears exactly its neighbours in E_i
                     assert senders == neighbors[u]
-                    # each sender's message is the one it prepared in the previous round
-                    assert all(outbox[v] == sent[v] for v in senders)
-                    # aimed: every previous-round message whose target is u
-                    assert sorted(aimed, key=lambda m: m.sender) == [
+                    # each sender's state, and so its message, is its previous-round one
+                    assert all(states[v] == before.states[v] for v in senders)
+                    assert all(states[v].out_message == sent[v] for v in senders)
+                    # aimed: the states of every previous-round message whose target is u
+                    assert [st.out_message for st in sorted(aimed, key=lambda st: st.id)] == [
                         m for m in sent.values() if m.target == u
                     ]
                 # a node that was not stepped keeps its state object

@@ -15,19 +15,12 @@ from dynaforest.model import (
 from dynaforest import analysis, engine, topology
 
 
-def make_state(nid, status=Status.T, parent=None, children=(), score=None, out_message=None):
+def make_state(
+    nid, status=Status.T, parent=None, children=(), score=None, action=Action.HELLO, target=None
+):
     """Hand-built node state with sensible defaults for the untouched fields."""
     score = nid if score is None else score
-    if out_message is None:
-        out_message = Message(nid, status, Action.HELLO, None, score)
-    return NodeState(
-        id=nid,
-        status=status,
-        parent=parent,
-        children=frozenset(children),
-        score=score,
-        out_message=out_message,
-    )
+    return NodeState(nid, status, parent, frozenset(children), score, action, target)
 
 
 def make_config(round_index, states):
@@ -54,26 +47,42 @@ class TestEdges:
 
 
 class TestMessageInvariants:
+    """The pending action's checks, made where the state is built, and the
+    message the state announces."""
+
     def test_select_announces_n(self):
-        with pytest.raises(ValueError):
-            Message(1, Status.T, Action.SELECT, 2, 1)
+        state = make_state(1, action=Action.SELECT, target=2)
+        assert state.out_message == Message(1, Status.N, Action.SELECT, 2, 1)
 
     def test_flip_announces_t(self):
-        with pytest.raises(ValueError):
-            Message(1, Status.N, Action.FLIP, 2, 1)
+        state = make_state(1, children={2}, score=5, action=Action.FLIP, target=2)
+        assert state.out_message == Message(1, Status.T, Action.FLIP, 2, 5)
+
+    def test_hello_announces_the_status(self):
+        for status in (Status.T, Status.N):
+            parent = None if status is Status.T else 2
+            state = make_state(1, status=status, parent=parent, score=3)
+            assert state.out_message == Message(1, status, Action.HELLO, None, 3)
 
     def test_hello_carries_no_target(self):
-        with pytest.raises(ValueError):
-            Message(1, Status.T, Action.HELLO, 2, 1)
-        Message(1, Status.N, Action.HELLO, None, 1)  # either status is fine
+        with pytest.raises(ValueError, match="HELLO messages carry no target"):
+            make_state(1, target=2)
+        make_state(1, status=Status.N, parent=2)  # either status is fine
 
     def test_flip_needs_target(self):
-        with pytest.raises(ValueError):
-            Message(1, Status.T, Action.FLIP, None, 1)
+        for action in (Action.FLIP, Action.SELECT):
+            with pytest.raises(ValueError, match="need a target"):
+                make_state(1, action=action)
 
     def test_no_self_target(self):
-        with pytest.raises(ValueError):
-            Message(1, Status.N, Action.SELECT, 1, 1)
+        for action in (Action.FLIP, Action.SELECT):
+            with pytest.raises(ValueError, match="never targets itself"):
+                make_state(1, action=action, target=1)
+
+    @pytest.mark.parametrize("score", [0, -4])
+    def test_score_must_be_positive(self, score):
+        with pytest.raises(ValueError, match="score must be positive"):
+            make_state(1, score=score)
 
 
 class TestNodeStateInvariants:
@@ -87,7 +96,7 @@ class TestNodeStateInvariants:
 
     def test_holds_only_what_next_round_reads(self):
         names = [f.name for f in dataclasses.fields(NodeState)]
-        assert names == ["id", "status", "parent", "children", "score", "out_message"]
+        assert names == ["id", "status", "parent", "children", "score", "action", "target"]
 
     def test_configuration_key_must_match_state(self):
         with pytest.raises(ValueError):

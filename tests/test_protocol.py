@@ -3,14 +3,8 @@ import copy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dynaforest.model import Action, Message, Status
-from dynaforest.protocol import (
-    NodeRng,
-    ProtocolFault,
-    choose_flip_target,
-    initial_state,
-    node_step,
-)
+from dynaforest.model import Action, Message, NodeState, Status
+from dynaforest.protocol import choose_flip_target, initial_state, node_rng, node_step
 
 from naive_oracle import Msg, NaiveNode, engine_snapshot
 from test_model import make_config, make_state
@@ -23,19 +17,25 @@ def hello(sender, status, score):
     return Message(sender, status, HELLO, None, score)
 
 
+def sender_state(m):
+    """A state that sends `m`: status T for a SELECT/FLIP, else the announced one."""
+    status = m.sender_status if m.action is HELLO else T
+    return NodeState(m.sender, status, None, frozenset(), m.score, m.action, m.target)
+
+
 def delivery(prev, received):
     """The engine's view of a message list, as `node_step` reads it.
 
-    (senders, outbox, aimed): the set of senders, each sender's message, and
-    the messages whose target is `prev`'s node.
+    (senders, states, aimed): the set of senders, each sender's state, and
+    the states whose target is `prev`'s node.
     """
-    outbox = {m.sender: m for m in received}
-    return set(outbox), outbox, [m for m in received if m.target == prev.id]
+    states = {m.sender: sender_state(m) for m in received}
+    return set(states), states, [st for st in states.values() if st.target == prev.id]
 
 
 def step(prev, received):
     """One non-lazy node_step with the node's own stream for seed 0."""
-    return node_step(prev, *delivery(prev, received), NodeRng(0, prev.id))
+    return node_step(prev, *delivery(prev, received), node_rng(0, prev.id))
 
 
 class TestInitialState:
@@ -78,26 +78,26 @@ class TestAdoptParent:
     """Committing our own FLIP/SELECT when its target is still a neighbor."""
 
     def test_flip_takes_min_score_and_drops_child(self):
-        state = make_state(5, children={2, 9}, score=8, out_message=Message(5, T, FLIP, 2, 8))
+        state = make_state(5, children={2, 9}, score=8, action=FLIP, target=2)
         adopted = step(state, [hello(2, N, 2), hello(9, N, 9)])
         assert adopted.status is N and adopted.parent == 2
         assert adopted.children == frozenset({9})
         assert adopted.score == 2
 
     def test_select_keeps_children_and_score(self):
-        state = make_state(2, children={7}, score=2, out_message=Message(2, N, SELECT, 8, 2))
+        state = make_state(2, children={7}, score=2, action=SELECT, target=8)
         adopted = step(state, [hello(7, N, 7), hello(8, T, 8)])
         assert adopted.status is N and adopted.parent == 8
         assert adopted.children == frozenset({7})
         assert adopted.score == 2
 
     def test_flip_min_identity_when_parent_announces_more(self):
-        state = make_state(4, children={9}, score=5, out_message=Message(4, T, FLIP, 9, 5))
+        state = make_state(4, children={9}, score=5, action=FLIP, target=9)
         adopted = step(state, [hello(9, N, 9)])
         assert adopted.score == 5
 
     def test_flip_cancelled_when_target_sent_nothing(self):
-        state = make_state(4, children={9}, score=5, out_message=Message(4, T, FLIP, 9, 5))
+        state = make_state(4, children={9}, score=5, action=FLIP, target=9)
         out = step(state, [])
         assert out.status is T and out.parent is None
         assert out.children == frozenset()
@@ -170,22 +170,22 @@ class TestChooseContender:
 
 class TestChooseFlipTarget:
     def test_singleton(self):
-        rng = NodeRng(0, 1)
+        rng = node_rng(0, 1)
         assert choose_flip_target(frozenset({5}), rng) == 5
 
     def test_pinned_reproducible_draw(self):
         # frozen from the first run of this generator; must never drift
-        rng = NodeRng(42, 5)
+        rng = node_rng(42, 5)
         assert choose_flip_target(frozenset({3, 7, 9}), rng) == 9
-        rng2 = NodeRng(42, 5)
+        rng2 = node_rng(42, 5)
         assert choose_flip_target(frozenset({3, 7, 9}), rng2) == 9
 
     def test_empty_children_rejected(self):
         with pytest.raises(ValueError):
-            choose_flip_target(frozenset(), NodeRng(0, 1))
+            choose_flip_target(frozenset(), node_rng(0, 1))
 
     def test_roughly_uniform_over_two_children(self):
-        rng = NodeRng(7, 1)
+        rng = node_rng(7, 1)
         draws = [choose_flip_target(frozenset({3, 7}), rng) for _ in range(10_000)]
         for value in (3, 7):
             assert 0.47 <= draws.count(value) / 10_000 <= 0.53
@@ -210,29 +210,27 @@ class TestPrepareMessage:
 class TestNodeStep:
     def test_isolated_root_falls_through_to_hello(self):
         prev = make_state(1, children={4})  # stale child, no longer a neighbor
-        out = node_step(prev, *delivery(prev, []), NodeRng(0, 1))
+        out = node_step(prev, *delivery(prev, []), node_rng(0, 1))
         assert out.status is T and out.parent is None
         assert out.children == frozenset()
         assert out.out_message == Message(1, T, HELLO, None, 1)
 
     def test_root_spots_contender_and_prepares_select(self):
         prev = initial_state(1)
-        out = node_step(prev, *delivery(prev, [hello(4, T, 4)]), NodeRng(0, 1))
+        out = node_step(prev, *delivery(prev, [hello(4, T, 4)]), node_rng(0, 1))
         assert out.out_message == Message(1, N, SELECT, 4, 1)
 
     def test_token_regeneration_when_parent_disappears(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})
-        out = node_step(prev, *delivery(prev, [hello(5, N, 5)]), NodeRng(0, 3))
+        out = node_step(prev, *delivery(prev, [hello(5, N, 5)]), node_rng(0, 3))
         assert out.status is T and out.parent is None
         assert out.children == frozenset({5})  # pruned to current neighbors
 
     def test_flip_commit_with_simultaneous_select_arrival(self):
         # hand-executed oracle: we flipped to 2 while 7 selects us
-        prev = make_state(
-            5, children={2}, score=9, out_message=Message(5, T, FLIP, 2, 9)
-        )
+        prev = make_state(5, children={2}, score=9, action=FLIP, target=2)
         received = [hello(2, N, 2), Message(7, N, SELECT, 5, 7)]
-        out = node_step(prev, *delivery(prev, received), NodeRng(0, 5))
+        out = node_step(prev, *delivery(prev, received), node_rng(0, 5))
         assert out.status is N and out.parent == 2
         assert out.children == frozenset({7})
         assert out.score == 2
@@ -241,25 +239,16 @@ class TestNodeStep:
     def test_purity_same_inputs_same_output(self):
         prev = make_state(2, children={4, 5})
         received = [hello(4, N, 4), hello(5, N, 5), hello(9, T, 9)]
-        rng_a, rng_b = NodeRng(11, 2), NodeRng(11, 2)
+        rng_a, rng_b = node_rng(11, 2), node_rng(11, 2)
         inputs = delivery(prev, received)
         assert node_step(prev, *inputs, rng_a) == node_step(prev, *inputs, rng_b)
-
-    def test_targeted_hello_is_a_fault(self):
-        # such a message cannot be constructed normally; force one to check
-        # that node_step treats it as an engine bug rather than data
-        fake = Message(2, N, SELECT, 1, 2)
-        object.__setattr__(fake, "action", HELLO)
-        prev = initial_state(1)
-        with pytest.raises(ProtocolFault):
-            node_step(prev, *delivery(prev, [fake]), NodeRng(0, 1))
 
     def test_lazy_root_rests_with_certainty_at_probability_one(self):
         prev = make_state(8, children={2})
         inputs = delivery(prev, [hello(2, N, 2)])
-        out = node_step(prev, *inputs, NodeRng(0, 8), lazy=True, rest_probability=1.0)
+        out = node_step(prev, *inputs, node_rng(0, 8), lazy=True, rest_probability=1.0)
         assert out.out_message.action is HELLO
-        out = node_step(prev, *inputs, NodeRng(0, 8), lazy=True, rest_probability=0.0)
+        out = node_step(prev, *inputs, node_rng(0, 8), lazy=True, rest_probability=0.0)
         assert out.out_message.action is FLIP
 
     @settings(max_examples=60)
@@ -303,7 +292,7 @@ class TestNodeStep:
                 if not (m.sender == prev.parent and m.action is SELECT and m.target == nid)
             ]
         lazy = rnd.random() < 0.5
-        out = node_step(prev, *delivery(prev, received), NodeRng(seed, nid), lazy=lazy)
+        out = node_step(prev, *delivery(prev, received), node_rng(seed, nid), lazy=lazy)
         # local state consistency
         assert (out.status is T) == (out.parent is None)
         # parent never among children
@@ -318,8 +307,8 @@ class TestNodeStep:
 def step_inputs(draw):
     """Any valid (prev, received, rng, lazy, rest probability) on nodes 1..4.
 
-    Scores are unique, as in a run; the previous message is drawn on its own,
-    so a new message often differs from it in a single field.
+    Scores are unique, as in a run; the previous action and target are drawn
+    on their own, so a new state often differs from it in a single field.
     """
     ids = [1, 2, 3, 4]
     nid = draw(st.sampled_from(ids))
@@ -334,20 +323,19 @@ def step_inputs(draw):
         return Message(sender, T if action is FLIP else N, action, target, score)
 
     parent = draw(st.sampled_from([None] + others))
+    action = draw(st.sampled_from([HELLO, FLIP, SELECT]))
     prev = make_state(
         nid,
         status=draw(st.sampled_from([T, N])),
         parent=parent,
         children=draw(st.sets(st.sampled_from([v for v in others if v != parent]))),
         score=score_of[nid],
-        # in a run the node's own; another sender's message is never reused
-        out_message=message(
-            draw(st.sampled_from([nid] * 3 + others)), draw(st.sampled_from(ids))
-        ),
+        action=action,
+        target=None if action is HELLO else draw(st.sampled_from(others)),
     )
     senders = draw(st.lists(st.sampled_from(others), unique=True))
     received = [message(s, score_of[s]) for s in senders]
-    rng = NodeRng(draw(st.integers(0, 2**16)), nid)
+    rng = node_rng(draw(st.integers(0, 2**16)), nid)
     return prev, received, rng, draw(st.booleans()), draw(st.sampled_from([0.0, 0.5, 1.0]))
 
 
@@ -396,20 +384,17 @@ class TestReuse:
                     node_step(*inputs)
                 return
             result = node_step(*inputs)
-            # the engine shares senders, outbox and aimed between steps
+            # the engine shares senders, states and aimed between steps
             assert inputs[1:4] == copies[1:4]
             assert result == node_step(*copies)
             assert engine_snapshot(make_config(1, [result]))[state.id] == oracle
             assert (result is state) == (result == state)
-            assert (result.out_message is state.out_message) == (
-                result.out_message == state.out_message
-            )
             state, mailbox = result, settled(mailbox, state.id)
 
     def test_unchanged_node_returns_its_previous_state(self):
         prev = make_state(3, status=N, parent=8, children={5})
         received = [hello(5, N, 5), hello(8, N, 8)]
-        assert node_step(prev, *delivery(prev, received), NodeRng(0, 3)) is prev
+        assert node_step(prev, *delivery(prev, received), node_rng(0, 3)) is prev
 
     def test_parent_change_alone_gives_a_new_state(self):
         # a FLIP aimed at a token holder that still names a parent clears the
@@ -417,24 +402,14 @@ class TestReuse:
         prev = make_state(3, status=T, parent=8, children={5})
         received = [Message(5, T, FLIP, 3, 1), hello(8, N, 8)]
         out = node_step(
-            prev, *delivery(prev, received), NodeRng(0, 3), lazy=True, rest_probability=1.0
+            prev, *delivery(prev, received), node_rng(0, 3), lazy=True, rest_probability=1.0
         )
         assert out.parent is None
-        assert out.out_message is prev.out_message
-
-    def test_score_change_alone_gives_a_new_state(self):
-        # the previous message announced the score the node now takes over
-        prev = make_state(3, children={5}, out_message=hello(3, T, 7))
-        received = [Message(5, T, FLIP, 3, 7)]
-        out = node_step(
-            prev, *delivery(prev, received), NodeRng(0, 3), lazy=True, rest_probability=1.0
-        )
-        assert out.score == 7
-        assert out.out_message is prev.out_message
+        assert out.out_message == prev.out_message
 
     def test_new_state_keeps_the_equal_message(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})  # 6 left
         received = [hello(5, N, 5), hello(8, N, 8)]
-        out = node_step(prev, *delivery(prev, received), NodeRng(0, 3))
+        out = node_step(prev, *delivery(prev, received), node_rng(0, 3))
         assert out.children == frozenset({5})
-        assert out.out_message is prev.out_message
+        assert out.out_message == prev.out_message
