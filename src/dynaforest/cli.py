@@ -362,9 +362,12 @@ def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration
                 if fields[4] == "-"
                 else frozenset(int(c) for c in fields[4].split(","))
             )
-            states[nid] = NodeState(nid, status, parent, children, score)
+            state = NodeState(nid, status, parent, children, score)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
+        if nid in states:
+            raise TraceFormatError(f"line {lineno}: node {nid} is listed twice")
+        states[nid] = state
     try:
         return Configuration(round=round_index, states=dict(sorted(states.items())))
     except ValueError as exc:
@@ -402,6 +405,13 @@ def read_trace_file(path) -> StoredTrace:
             edges = _parse_edges_token_line(body[k])
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {k + 6}: {exc}") from None
+        foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
+        if foreign:
+            u, v = min(foreign)
+            raise TraceFormatError(
+                f"{path}: line {k + 6}: edge {{{u},{v}}} endpoint "
+                f"{u if u not in vertices else v} is not in the vertex set"
+            )
         config = _parse_nodes_line(body[k + 1], k + 7, round_index)
         if config.vertices != vertices:
             raise TraceFormatError(

@@ -30,17 +30,14 @@ with a FLIP/SELECT pending is always dirty: it was marked by the round that
 prepared it, and a node that is not stepped keeps its state, so no clean
 node has one.  In a full round every node is dirty.
 
-One adjacency serves each E_i.  The engine gets it from `model.adjacency`,
-which walks the edges once and keeps its last result; the metrics'
-`connected_components` asks for the same (V, E_i) in the same round and gets
-that result back instead of walking E_i again.  The memo is exact: it hits
-only for the very edge-set object it was built from (frozen, and still
-alive, so no other set has its id) together with an equal vertex set, and
-nobody mutates the adjacency it returns.  Inside a round, `node_step`
-hands back the previous `NodeState` exactly when the new one would be
-equal, so the engine tells "changed" by identity alone.  A step that
-returned an equal copy would only mark nodes dirty that need not be; an
-over-marked node is stepped as in a full round, so the result stays exact.
+The engine builds its adjacency with `model.adjacency` when E_i changes and
+keeps it in `RoundCarry`; nothing else reads it.
+
+Inside a round, `node_step` hands back the previous `NodeState` exactly when
+the new one would be equal, so the engine tells "changed" by identity alone.
+A step that returned an equal copy would only mark nodes dirty that need not
+be; an over-marked node is stepped as in a full round, so the result stays
+exact.
 
 The engine itself consumes no randomness: one master seed derives a private
 stream per node, so reordering node computation cannot perturb outcomes.
@@ -83,7 +80,7 @@ class RoundCarry:
     """
 
     edges: Optional[EdgeSet] = None
-    adjacency: Optional[dict] = None  # `model.adjacency(V, edges)`: shared, read-only
+    adjacency: Optional[dict] = None  # `model.adjacency(V, edges)`
     dirty: Optional[set] = None  # nodes the next round must step
 
 

@@ -3,14 +3,15 @@
 A node's message is a view of its state: `NodeState` stores the pending
 action and target, and `NodeState.out_message` derives the rest.
 
-Everything here is plain data.  Values are immutable snapshots once a round
-completes and are safe to share read-only across parallel experiment runs.
+Everything here is plain data: the module keeps no state of its own, and
+`adjacency` builds a fresh dict on every call.  Values are immutable
+snapshots once a round completes and are safe to share read-only across
+parallel experiment runs.
 """
 
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
@@ -148,46 +149,21 @@ def make_edge_set(pairs: Iterable) -> EdgeSet:
     return frozenset(make_edge(u, v) for u, v in pairs)
 
 
-# The last adjacency built from a frozenset: (vertex frozenset, weak reference
-# to the edge set, adjacency).  Dropped when that edge set is freed.
-_last_adjacency: Optional[tuple] = None
-
-
-def _forget_adjacency(edges_ref: weakref.ref) -> None:
-    global _last_adjacency
-    if _last_adjacency is not None and _last_adjacency[1] is edges_ref:
-        _last_adjacency = None
-
-
 def adjacency(vertices: Iterable, edges: EdgeSet) -> dict:
     """Each vertex's neighbour set in `edges`, in one pass over the edges.
 
-    Raises ValueError naming the first endpoint outside `vertices`.  The
-    result is shared: callers read it and never mutate it.  The last result
-    built from a frozenset is kept and returned again for the same edge-set
-    object and an equal vertex set.  Both are immutable, and while the edge
-    set lives no other object has its id, so a hit returns exactly what a
-    fresh pass would.  The memo refers to the edge set weakly and is dropped
-    with it, so a finished run leaves nothing behind.  The vertex set is
-    compared by value, because one edge set can serve different graphs.
+    Raises ValueError naming the first endpoint outside `vertices`.
     """
-    global _last_adjacency
-    vertex_set = frozenset(vertices)
-    last = _last_adjacency
-    if last is not None and last[1]() is edges and vertex_set == last[0]:
-        return last[2]
-    neighbours = {u: set() for u in vertex_set}
+    neighbours = {u: set() for u in vertices}
     for u, v in edges:
         try:
             neighbours[u].add(v)
             neighbours[v].add(u)
         except KeyError:
-            missing = u if u not in vertex_set else v
+            missing = u if u not in neighbours else v
             raise ValueError(
                 f"edge {{{u},{v}}} endpoint {missing} is not in the vertex set"
             ) from None
-    if isinstance(edges, frozenset):
-        _last_adjacency = (vertex_set, weakref.ref(edges, _forget_adjacency), neighbours)
     return neighbours
 
 

@@ -12,7 +12,7 @@ from dynaforest.analysis import (
     check_graph_consistency,
     check_score_permutation,
     check_state_consistency,
-    connected_components,
+    component_count,
     run_all_checks,
     trees_per_component,
 )
@@ -105,6 +105,22 @@ class TestScorePermutation:
             assert check_score_permutation(config) == []
 
 
+def brute_force_components(vertices, edges):
+    """Components of (vertices, edges) by repeatedly merging overlapping
+    reachability sets: the transitive-closure oracle."""
+    closure = {u: {u} for u in vertices}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            union = closure[u] | closure[v]
+            if union != closure[u] or union != closure[v]:
+                for w in union:
+                    closure[w] = union
+                changed = True
+    return {frozenset(s) for s in closure.values()}
+
+
 class TestCorrectForest:
     def test_initial_clean(self):
         assert check_correct_forest(initial(5), frozenset()) == []
@@ -147,6 +163,46 @@ class TestCorrectForest:
         ]
         assert check_correct_forest(config(99), edges - {(2, 3)}) == []
 
+    def test_violations_match_brute_force_root_count(self):
+        rng = random.Random(1410)
+        violating = 0
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            ids = list(range(1, n + 1))
+            parent = {u: rng.choice([None, *(v for v in ids if v != u)]) for u in ids}
+            config = make_config(
+                1, [make_state(u, status=Status.N, parent=p) for u, p in parent.items()]
+            )
+            # an arc whose edge is absent is no arc of the pseudoforest
+            pointers = [(u, p) for u, p in parent.items() if p is not None]
+            edges = make_edge_set(e for e in pointers if rng.random() < 0.9)
+            arcs = {u: p for u, p in pointers if model.make_edge(u, p) in edges}
+            expected = []
+            for part in sorted(brute_force_components(ids, arcs.items()), key=min):
+                roots = sorted(u for u in part if u not in arcs)
+                if len(roots) != 1:
+                    expected.append(
+                        (
+                            ViolationKind.MultiRootPseudotree,
+                            f"pseudotree of nodes {sorted(part)} has {len(roots)} roots {roots}",
+                        )
+                    )
+            for u in ids:
+                cur = u
+                for _ in range(n):
+                    cur = arcs.get(cur, cur)
+                if cur in arcs:
+                    expected.append(
+                        (
+                            ViolationKind.CyclicPseudotree,
+                            f"parent chain from node {u} never reaches a root",
+                        )
+                    )
+            got = [(v.kind, v.detail) for v in check_correct_forest(config, edges)]
+            assert got == expected
+            violating += bool(expected)
+        assert violating > 200
+
     def test_clean_under_adversarial_resampling(self):
         rng = random.Random(13)
         vertices = list(range(1, 15))
@@ -174,38 +230,42 @@ class TestCorrectForest:
 
 
 class TestConnectedComponents:
+    """`component_count` against hand-counted graphs and brute force."""
+
     def test_no_edges_all_singletons(self):
-        parts = connected_components([1, 2, 3, 4], frozenset())
-        assert parts == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
+        assert component_count([1, 2, 3, 4], frozenset()) == 4
 
     def test_path_plus_isolated(self):
-        parts = connected_components([1, 2, 3, 4], make_edge_set([(1, 2), (2, 3)]))
-        assert parts == (frozenset({1, 2, 3}), frozenset({4}))
+        assert component_count([1, 2, 3, 4], make_edge_set([(1, 2), (2, 3)])) == 2
+
+    def test_empty_vertex_set_has_no_component(self):
+        assert component_count([], frozenset()) == 0
 
     def test_matches_transitive_closure_oracle(self):
-        rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            vertices = list(range(1, n + 1))
-            pairs = list(itertools.combinations(vertices, 2))
-            edges = make_edge_set(p for p in pairs if rng.random() < 0.3)
-            # brute force: repeatedly merge overlapping reachability sets
-            closure = {u: {u} for u in vertices}
-            changed = True
-            while changed:
-                changed = False
-                for u, v in edges:
-                    union = closure[u] | closure[v]
-                    if union != closure[u] or union != closure[v]:
-                        for w in union:
-                            closure[w] = union
-                        changed = True
-            expected = {frozenset(s) for s in closure.values()}
-            assert set(connected_components(vertices, edges)) == expected
+        # dense graphs become one component before their last edge, so the
+        # count stops early in many of them
+        rng = random.Random(2024)
+        stopped_early = 0
+        for density in [k / 10 for k in range(11)]:
+            for _ in range(60):
+                n = rng.randint(1, 12)
+                vertices = rng.sample(range(1, 40), n)
+                pairs = list(itertools.combinations(vertices, 2))
+                edges = make_edge_set(p for p in pairs if rng.random() < density)
+                expected = len(brute_force_components(vertices, edges))
+                unread = iter(list(edges))
+                assert component_count(vertices, unread) == expected
+                stopped_early += any(True for _ in unread)
+        assert stopped_early > 200
 
     def test_foreign_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            connected_components([1, 2], make_edge_set([(1, 9)]))
+        with pytest.raises(ValueError, match="endpoint 9 is not in the vertex set"):
+            component_count([1, 2], make_edge_set([(1, 9)]))
+
+    def test_foreign_endpoint_rejected_while_disconnected(self):
+        # V never becomes one component, so every edge is looked at
+        with pytest.raises(ValueError, match="endpoint 9 is not in the vertex set"):
+            component_count([1, 2, 3], make_edge_set([(1, 2), (2, 9)]))
 
 
 class TestTreesPerComponent:
@@ -292,27 +352,25 @@ class TestSummaries:
             built.append(edges)
             return real_adjacency(vertices, edges)
 
-        # the one adjacency builder, as the engine and the metrics call it
         monkeypatch.setattr(engine, "adjacency", counting_adjacency)
-        monkeypatch.setattr(analysis, "adjacency", counting_adjacency)
         acc = MetricsAccumulator()
-        calls, walks = [], []
+        builds, walks = [], []
         walked.clear()
         for i, edges, config in engine.iter_run(graph, len(schedule), seed=4):
             acc(i, edges, config)
-            calls.append(len(built))
+            builds.append(len(built))
             walks.append(list(walked))
             assert acc.per_round[-1] == trees_per_component(config, edges)
             built.clear()
             walked.clear()
-        # engine and metrics together walk E_i once when the edge-set object
-        # changes, and not at all when it repeats
-        changed = [True, False, True, True, False, True, True, True, False]
-        assert [len(w) for w in walks] == [1 if new else 0 for new in changed]
-        assert all(w[0] is edges for w, edges in zip(walks, schedule) if w)
-        # the engine builds when E_i differs from E_(i-1), and the metrics ask
-        # whenever the object changes; a second call in a round hits the memo
-        assert calls == [2, 0, 1, 2, 0, 2, 2, 1, 0]
+        # the engine builds its adjacency when E_i differs from E_(i-1)
+        differs = [True, False, False, True, False, True, True, False, False]
+        assert builds == [int(d) for d in differs]
+        # the metrics walk each new edge-set object once, and a repeated
+        # object not at all
+        new_object = [True, False, True, True, False, True, True, True, False]
+        assert [len(w) for w in walks] == [d + n for d, n in zip(differs, new_object)]
+        assert all(e is edges for w, edges in zip(walks, schedule) for e in w)
         # a round with the previous round's metrics stores the same record
         for before, after in zip(acc.per_round, acc.per_round[1:]):
             assert (after is before) == (after == before)

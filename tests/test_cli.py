@@ -411,22 +411,29 @@ class TestCmdCheck:
                         return
         pytest.fail("trace contained no parent pointer to mutate")
 
-    def tamper_node_1(self, tmp_path, parent, extra_edge=None):
-        """Round 1 of a real trace with node 1 given `parent` (and an extra edge)."""
+    def tampered_round_1(self, tmp_path, edit):
+        """A real trace whose round-1 edge and node lines pass through `edit`."""
         lines = self.make_trace(tmp_path).read_text().splitlines()
-        if extra_edge is not None:
-            lines[5] = extra_edge if lines[5] == "-" else f"{lines[5]} {extra_edge}"
-        tokens = lines[6].split()
-        nid, _, _, score, children = tokens[0].split(":")
-        assert nid == "1"
-        tokens[0] = ":".join([nid, "N", parent, score, children])
-        lines[6] = " ".join(tokens)
+        lines[5], lines[6] = edit(lines[5], lines[6])
         tampered = tmp_path / "tampered.txt"
         tampered.write_text("\n".join(lines) + "\n")
         return tampered
 
+    def tamper_node_1(self, tmp_path, parent):
+        """Round 1 of a real trace with node 1 given `parent`."""
+
+        def edit(edges, nodes):
+            tokens = nodes.split()
+            nid, _, _, score, children = tokens[0].split(":")
+            assert nid == "1"
+            tokens[0] = ":".join([nid, "N", parent, score, children])
+            return edges, " ".join(tokens)
+
+        return self.tampered_round_1(tmp_path, edit)
+
     def test_parent_outside_vertex_set_is_a_violation(self, tmp_path, capsys):
-        tampered = self.tamper_node_1(tmp_path, "99", extra_edge="1-99")
+        # no edge to 99 is added: that would make the trace unparseable
+        tampered = self.tamper_node_1(tmp_path, "99")
         capsys.readouterr()
         assert main(["check", str(tampered)]) == cli.EXIT_VIOLATION
         err = capsys.readouterr().err
@@ -454,6 +461,26 @@ class TestCmdCheck:
         err = capsys.readouterr().err
         assert err.startswith("cannot parse trace: ")
         assert "score must be positive, got 0" in err
+
+    def test_edge_endpoint_outside_vertex_set_is_a_parse_error(self, tmp_path, capsys):
+        tampered = self.tampered_round_1(
+            tmp_path, lambda edges, nodes: ("4-99" if edges == "-" else f"{edges} 4-99", nodes)
+        )
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace: ")
+        assert "line 6: edge {4,99} endpoint 99 is not in the vertex set" in err
+
+    def test_node_listed_twice_is_a_parse_error(self, tmp_path, capsys):
+        tampered = self.tampered_round_1(
+            tmp_path, lambda edges, nodes: (edges, f"{nodes} {nodes.split()[0]}")
+        )
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace: ")
+        assert "line 7: node 1 is listed twice" in err
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -1,6 +1,6 @@
 import pytest
 
-from dynaforest import analysis, engine, model, topology
+from dynaforest import analysis, engine, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
 
@@ -68,6 +68,12 @@ class TestRunRound:
         rngs = make_node_rngs(0, [1, 2])
         with pytest.raises(EngineError, match="endpoint 9"):
             run_round(config, make_edge_set([(1, 9)]), rngs)
+
+    def test_foreign_endpoint_error_names_round_edge_and_endpoint(self):
+        edges = make_edge_set([(1, 2), (2, 9)])
+        with pytest.raises(EngineError) as caught:
+            run_round(initial_configuration([1, 2, 3]), edges, make_node_rngs(0, [1, 2, 3]))
+        assert str(caught.value) == "round 1: edge {2,9} endpoint 9 is not in the vertex set"
 
 
 class TestRun:
@@ -227,99 +233,3 @@ class TestDeltaRounds:
             for _ in engine.iter_run(graph, rounds=3, seed=0):
                 pass
         assert str(caught.value) == "round 3: edge {1,9} endpoint 9 is not in the vertex set"
-
-
-def memo_free(monkeypatch):
-    """Make every `adjacency` call in the engine and the metrics a fresh pass."""
-
-    def fresh(vertices, edges):
-        model._last_adjacency = None
-        return model.adjacency(vertices, edges)
-
-    monkeypatch.setattr(engine, "adjacency", fresh)
-    monkeypatch.setattr(analysis, "adjacency", fresh)
-
-
-def run_with_metrics(graph, rounds, seed):
-    acc = analysis.MetricsAccumulator()
-    configs = []
-    for i, edges, config in engine.iter_run(graph, rounds, seed):
-        acc(i, edges, config)
-        configs.append(config)
-    return configs, acc.per_round
-
-
-class TestSharedAdjacency:
-    def test_interleaved_runs_sharing_edge_set_objects(self, monkeypatch):
-        # one edge-set object serves graphs of different vertex sets: of
-        # another size, and of the same size with other ids
-        empty, shared = frozenset(), make_edge_set([(2, 3)])
-        a, b, c = (make_edge_set([pair]) for pair in ((1, 2), (4, 5), (3, 4)))
-        scripts = {
-            frozenset({1, 2, 3}): [empty, shared, shared, empty, a, empty],
-            frozenset({1, 2, 3, 4, 5}): [empty, empty, shared, b, shared, empty],
-            frozenset({2, 3, 4}): [shared, empty, shared, empty, c, shared],
-        }
-        graphs = [
-            EvolvingGraph(vertices, lambda i, script=script: script[i - 1])
-            for vertices, script in scripts.items()
-        ]
-        with monkeypatch.context() as m:
-            memo_free(m)
-            expected = [run_with_metrics(graph, 6, seed) for seed, graph in enumerate(graphs)]
-        runs = [engine.iter_run(graph, 6, seed) for seed, graph in enumerate(graphs)]
-        accs = [analysis.MetricsAccumulator() for _ in graphs]
-        got = [[] for _ in graphs]
-        for rounds in zip(*runs):
-            for (i, edges, config), acc, configs in zip(rounds, accs, got):
-                acc(i, edges, config)
-                configs.append(config)
-        assert [(configs, acc.per_round) for configs, acc in zip(got, accs)] == expected
-
-    def test_run_interleaved_with_components_of_other_vertex_sets(self, monkeypatch):
-        params = topology.EdgeMarkovParams(n=12, p_birth=0.3, p_death=0.3, seed=3)
-        with monkeypatch.context() as m:
-            memo_free(m)
-            expected = run_with_metrics(topology.edge_markov(params), 60, seed=3)
-        graph = topology.edge_markov(params)
-        acc = analysis.MetricsAccumulator()
-        configs = []
-        wider = range(1, 20)
-        for i, edges, config in engine.iter_run(graph, 60, seed=3):
-            acc(i, edges, config)
-            configs.append(config)
-            assert analysis.connected_components([30, 31], frozenset()) == (
-                frozenset({30}),
-                frozenset({31}),
-            )
-            # the next round's edge set, first seen over another vertex set
-            upcoming = graph.schedule(i + 1)
-            parts = analysis.connected_components(wider, upcoming)
-            assert frozenset().union(*parts) == frozenset(wider)
-            assert sorted(parts, key=min)[-7:] == [frozenset({u}) for u in range(13, 20)]
-        assert (configs, acc.per_round) == expected
-
-    def test_foreign_endpoint_still_rejected_after_a_memo_hit_elsewhere(self):
-        edges = make_edge_set([(1, 2), (2, 9)])
-        assert analysis.connected_components([1, 2, 9], edges) == (frozenset({1, 2, 9}),)
-        with pytest.raises(EngineError) as caught:
-            run_round(initial_configuration([1, 2, 3]), edges, make_node_rngs(0, [1, 2, 3]))
-        assert str(caught.value) == "round 1: edge {2,9} endpoint 9 is not in the vertex set"
-        with pytest.raises(ValueError, match="endpoint 9 is not in the vertex set"):
-            analysis.connected_components([1, 2], edges)
-
-    def test_mutable_edge_collection_is_never_reused(self):
-        edges = {(1, 2)}
-        assert analysis.connected_components([1, 2, 3], edges) == (
-            frozenset({1, 2}),
-            frozenset({3}),
-        )
-        edges.add((2, 3))
-        assert analysis.connected_components([1, 2, 3], edges) == (frozenset({1, 2, 3}),)
-
-    def test_memo_is_dropped_with_its_edge_set(self):
-        edges = make_edge_set([(1, 2)])
-        analysis.connected_components([1, 2, 3], edges)
-        assert model._last_adjacency is not None
-        del edges
-        assert model._last_adjacency is None
