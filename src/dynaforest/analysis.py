@@ -5,24 +5,16 @@ an empty list certifies the property.  On engine-produced runs all six
 properties hold after every round, whatever the adversary does -- that is
 the whole point, and the checkers are how the test suite enforces it.
 
+`run_all_checks` certifies before it diagnoses.  One certifier,
+`_certified`, tests all six properties in a single pass over the states and
+holds exactly when the five checkers would all return [].  Only when it
+fails do the five checkers run, each building its diagnostics (sorted
+lists, chain groups, messages) in full.
+
 The trees-per-component metric counts components with `component_count`, a
 union-find over E_i that needs no adjacency and stops once V is a single
 component.  It trusts that E_i lies within V, which the engine has already
 checked for every E_i a run yields (see `component_count`).
-
-The checkers certify first and diagnose only on failure: each first runs the
-cheapest test whose success implies an empty verdict, and builds the
-diagnostics (sorted lists, chain groups, messages) only when that test fails.
-Three of those tests need an argument:
-- `check_forest_consistency` returns [] when every parent arc u -> v has u
-  among v's children and the arcs are as many as the child entries.  Each
-  arc then names its own entry (a node has one parent), so the arcs account
-  for every entry and no entry is stale.
-- `check_score_permutation` returns [] when the set of scores equals the set
-  of ids.  There is one score per node and the ids are unique, so the two
-  multisets are then equal.
-- `check_correct_forest` returns [] when every parent chain reaches a root;
-  the argument is in its docstring.
 """
 
 from __future__ import annotations
@@ -79,18 +71,6 @@ class MetricsSummary:
 def check_forest_consistency(config: Configuration) -> list:
     """parent(u) = v must hold exactly when u is in children(v)."""
     states = config.states
-    arcs = 0
-    for u, st in states.items():
-        v = st.parent
-        if v is not None:
-            partner = states.get(v)
-            if partner is None or u not in partner.children:
-                break
-            arcs += 1
-    else:
-        if arcs == sum(len(st.children) for st in states.values()):
-            return []  # each arc is listed once, and no child entry is left over
-
     violations = []
     for u in sorted(states):
         st = states[u]
@@ -160,13 +140,12 @@ def check_state_consistency(config: Configuration) -> list:
 def check_score_permutation(config: Configuration) -> list:
     """The multiset of scores must equal the multiset of node ids."""
     states = config.states
-    scores = [st.score for st in states.values()]
-    if set(scores) == states.keys():
-        return []  # one score per node and unique ids: the multisets are equal
-    scores = Counter(scores)
+    scores = Counter(st.score for st in states.values())
     ids = Counter(states.keys())
     extra = sorted((scores - ids).elements())
     missing = sorted((ids - scores).elements())
+    if not extra and not missing:
+        return []
     holders = sorted(u for u in states if states[u].score in set(extra))
     return [
         Violation(
@@ -249,8 +228,60 @@ def check_correct_forest(config: Configuration, edges: EdgeSet) -> list:
     return violations
 
 
+def _certified(config: Configuration, edges: EdgeSet) -> bool:
+    """True exactly when the five checkers would all return [].
+
+    One pass over the states tests, for each node u with parent v: v is a
+    vertex listing u among its children, the edge {u,v} is in E_i, and u
+    holds no token; and for each node without a parent, that it holds one.
+    Then:
+    - Forest consistency: the parent arcs are as many as the child entries.
+      Each arc names its own entry (a node has one parent), so the arcs
+      account for every entry and no entry is stale.
+    - Score permutation: the set of scores equals the set of ids.  There is
+      one score per node and the ids are unique, so the two multisets are
+      then equal.
+    - Correct forest: every parent chain reaches a root within |V| hops.
+      With the entries exact, a child entry is a parent arc read backwards,
+      so a walk down the children from the roots reaches each node once,
+      exactly the nodes whose chain ends at a root.  All nodes are reached
+      only when no chain enters a cycle.  The arcs all lie in E_i, so the
+      checker's filter on them changes nothing.
+    """
+    states = config.states
+    roots = []
+    arcs = entries = 0
+    for u, st in states.items():
+        v = st.parent
+        if v is None:
+            if st.status is not _T:
+                return False
+            roots.append(u)
+        else:
+            partner = states.get(v)
+            if (
+                st.status is _T
+                or partner is None
+                or u not in partner.children
+                or ((u, v) if u < v else (v, u)) not in edges
+            ):
+                return False
+            arcs += 1
+        entries += len(st.children)
+    if arcs != entries or {st.score for st in states.values()} != states.keys():
+        return False
+    reached = 0
+    level = roots
+    while level:
+        reached += len(level)
+        level = [c for u in level for c in states[u].children]
+    return reached == len(states)
+
+
 def run_all_checks(config: Configuration, edges: EdgeSet) -> list:
     """All six properties at once; empty means the round is certified."""
+    if _certified(config, edges):
+        return []
     return (
         check_forest_consistency(config)
         + check_graph_consistency(config, edges)

@@ -160,7 +160,9 @@ def add_run_options(parser: argparse.ArgumentParser) -> dict:
         add("--rounds-per-second", type=fraction, help="round rate of the trace adversary"),
         add("--rounds", type=int, help="rounds per seed; the trace adversary sets its own"),
         add("--seeds", type=parse_seeds, help="e.g. '0-99' or '1,5,7'"),
-        add("--lazy", action=boolean, help="roots rest at random (the lazy protocol)"),
+        add("--lazy", action=boolean,
+            help="roots rest at random (the lazy protocol; convergence to one tree "
+                 "per component on a static graph is shown for this variant only)"),
         add("--checkers", action=boolean, help="check every invariant every round"),
         add("--rest-probability", type=float, help="chance a lazy root rests in a round"),
         add("--out", help="output directory"),
@@ -303,18 +305,14 @@ def _format_edges(edges: EdgeSet) -> str:
     return " ".join(f"{u}-{v}" for u, v in sorted(edges)) or "-"
 
 
-def _format_nodes(config: Configuration) -> str:
-    parts = []
-    states = config.states
-    for nid in sorted(states):
-        st = states[nid]
-        # an identity test costs about 0.03 us; `.value` about 0.22 us, and a
-        # dict keyed by the member about 0.16 us (Enum hashes in Python)
-        status = "T" if st.status is _T else "N"
-        parent = "-" if st.parent is None else st.parent
-        children = ",".join(map(str, sorted(st.children))) if st.children else "-"
-        parts.append(f"{nid}:{status}:{parent}:{st.score}:{children}")
-    return " ".join(parts)
+def _format_node(st: NodeState) -> str:
+    """A node's 'id:status:parent:score:children' tuple, children ascending."""
+    # an identity test costs about 0.03 us; `.value` about 0.22 us, and a
+    # dict keyed by the member about 0.16 us (Enum hashes in Python)
+    status = "T" if st.status is _T else "N"
+    parent = "-" if st.parent is None else st.parent
+    children = ",".join(map(str, sorted(st.children))) if st.children else "-"
+    return f"{st.id}:{status}:{parent}:{st.score}:{children}"
 
 
 def trace_header(vertices, seed: int, lazy: bool, params: dict) -> list:
@@ -329,7 +327,39 @@ def trace_header(vertices, seed: int, lazy: bool, params: dict) -> list:
 
 
 def trace_round_lines(edges: EdgeSet, config: Configuration) -> list:
-    return [_format_edges(edges), _format_nodes(config)]
+    """One round's edge line and node line, formatted from scratch."""
+    return TraceWriter().round_lines(edges, config)
+
+
+class TraceWriter:
+    """`trace_round_lines` for the consecutive rounds of one run, reusing text.
+
+    It keeps each node's last `NodeState` with its tuple, and the last edge
+    set with its line.  A state or edge set that is the same object as last
+    round's gets the same text back without formatting it again: both are
+    immutable, so the same object always formats to the same text.  Reuse is
+    common because the engine keeps a node's previous `NodeState` object
+    exactly when its state did not change.
+    """
+
+    def __init__(self):
+        self._edges: Optional[EdgeSet] = None
+        self._edge_line = ""
+        self._nodes: dict = {}  # node id -> (its last NodeState, its tuple)
+
+    def round_lines(self, edges: EdgeSet, config: Configuration) -> list:
+        if edges is not self._edges:
+            self._edges, self._edge_line = edges, _format_edges(edges)
+        known = self._nodes
+        states = config.states
+        tokens = []
+        for nid in sorted(states):
+            st = states[nid]
+            last = known.get(nid)
+            if last is None or last[0] is not st:
+                last = known[nid] = (st, _format_node(st))
+            tokens.append(last[1])
+        return [self._edge_line, " ".join(tokens)]
 
 
 def _parse_edges_token_line(text: str) -> EdgeSet:
@@ -346,7 +376,8 @@ def _parse_edges_token_line(text: str) -> EdgeSet:
 
 def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration:
     """Rebuild a checkable configuration from one 'id:status:parent:score:children'
-    line.  The pending action, which the checkers never read, is HELLO."""
+    line.  The pending action, which the checkers never read, is HELLO.  The
+    states keep the line's order, which `read_trace_file` requires to ascend."""
     states = {}
     for token in text.split():
         fields = token.split(":")
@@ -369,7 +400,7 @@ def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration
             raise TraceFormatError(f"line {lineno}: node {nid} is listed twice")
         states[nid] = state
     try:
-        return Configuration(round=round_index, states=dict(sorted(states.items())))
+        return Configuration(round=round_index, states=states)
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from None
 
@@ -416,6 +447,19 @@ def read_trace_file(path) -> StoredTrace:
         if config.vertices != vertices:
             raise TraceFormatError(
                 f"{path}: line {k + 7}: round {round_index} nodes do not match the header"
+            )
+        # the parsers accept text the writer never writes; a round must read
+        # back exactly as the writer formats what was parsed from it
+        edge_line, node_line = trace_round_lines(edges, config)
+        if body[k] != edge_line:
+            raise TraceFormatError(
+                f"{path}: line {k + 6}: edges not in canonical form "
+                "(each edge once, smaller id first, in ascending order)"
+            )
+        if body[k + 1] != node_line:
+            raise TraceFormatError(
+                f"{path}: line {k + 7}: nodes not in canonical form "
+                "(tuples in ascending id order, children ascending)"
             )
         stored.rounds.append((round_index, edges, config))
     return stored
@@ -481,9 +525,18 @@ class SeedResult:
 
 
 def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
+    """Simulate one seed: its metrics and trace lines, or its first violations.
+
+    With checkers on, every round is checked before it is recorded, and the
+    first round with a violation ends the seed with that round's violations
+    and no trace.  The rounds are formatted by one `TraceWriter`, so a
+    node's tuple or the edge line is formatted again only in a round where
+    it changed.
+    """
     graph = build_graph(config, seed)
     rounds = resolve_rounds(config, graph)
     metrics = analysis.MetricsAccumulator()
+    writer = TraceWriter()
     trace_lines = trace_header(graph.vertices, seed, config.lazy, graph.params)
     for i, edges, cfg in engine.iter_run(
         graph, rounds, seed, config.lazy, config.rest_probability
@@ -498,7 +551,7 @@ def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
                     violations=[(v.round, v.kind.value, v.detail) for v in bad],
                 )
         metrics(i, edges, cfg)
-        trace_lines.extend(trace_round_lines(edges, cfg))
+        trace_lines.extend(writer.round_lines(edges, cfg))
     return SeedResult(
         seed=seed, summary=metrics.summary(), trace_lines=trace_lines, violations=[]
     )

@@ -39,6 +39,13 @@ tie and the order of the senders does not matter.
 A step whose new state equals the previous one returns the previous object,
 so callers can tell "unchanged" by identity; every new state is still built,
 and validated, as usual.
+
+The paper's convergence claim -- one tree per component once the network
+stops changing -- is shown here for the lazy variant only.  Without rests,
+a token with children FLIPs every round, and on a sparse static graph two
+tokens can stay in one component for good: `test_characterisation` pins a
+12-node tree where the non-lazy run keeps two trees through round 5000 and
+the lazy run has one from round 63.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynaforest import analysis, engine, model, topology
 from dynaforest.analysis import (
@@ -16,8 +18,10 @@ from dynaforest.analysis import (
     run_all_checks,
     trees_per_component,
 )
-from dynaforest.model import EvolvingGraph, Status, make_edge_set
+from dynaforest.model import Configuration, EvolvingGraph, Status, make_edge_set
+from dynaforest.topology import ContactRecord
 
+from test_golden import corrupted_configurations
 from test_model import make_config, make_state
 
 
@@ -390,3 +394,134 @@ class TestCheckerHook:
         )
         kinds = {v.kind for v in run_all_checks(config, frozenset())}
         assert ViolationKind.ScorePermutation in kinds
+
+
+def contact_graph(seed, n=20, contacts=40, seconds=60):
+    """A contact trace at 10 rounds/s: random pairs meeting over random intervals."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(contacts):
+        a, b = rng.sample(range(1, n + 1), 2)
+        start = rng.randrange(seconds)
+        records.append(ContactRecord(a, b, start, start + rng.randint(1, seconds)))
+    return topology.parse_contact_trace(records, 10)
+
+
+def five_checkers_clean(config, edges):
+    """The verdict of the five checkers, each run on its own."""
+    return not (
+        check_forest_consistency(config)
+        or check_graph_consistency(config, edges)
+        or check_state_consistency(config)
+        or check_score_permutation(config)
+        or check_correct_forest(config, edges)
+    )
+
+
+def _edit_parent(states, edges, u, v):
+    states[u] = dataclasses.replace(states[u], parent=v)
+
+
+def _edit_children(states, edges, u, v):
+    children = states[u].children
+    states[u] = dataclasses.replace(
+        states[u], children=children - {v} if v in children else children | {v}
+    )
+
+
+def _edit_score(states, edges, u, v):
+    states[u] = dataclasses.replace(states[u], score=v)
+
+
+def _edit_status(states, edges, u, v):
+    flipped = Status.N if states[u].status is Status.T else Status.T
+    states[u] = dataclasses.replace(states[u], status=flipped)
+
+
+def _edit_edge(states, edges, u, v):
+    edges ^= {(min(u, v), max(u, v))}
+
+
+def _rewire(states, edges, u, v):
+    """Move u under v with every entry kept consistent: a cycle when v descends from u."""
+    old = states[u].parent
+    if old in states:
+        states[old] = dataclasses.replace(states[old], children=states[old].children - {u})
+    states[u] = dataclasses.replace(states[u], status=Status.N, parent=v)
+    states[v] = dataclasses.replace(states[v], children=states[v].children | {u})
+    edges.add((min(u, v), max(u, v)))
+
+
+def _close_cycle(states, edges, u, v):
+    """Rewire u under a node two or more arcs below it: a cycle through u."""
+    below, depth = u, 0
+    while depth < len(states):
+        arcs = [c for c in states[below].children if states.get(c) and states[c].parent == below]
+        if not arcs:
+            break
+        below, depth = min(arcs), depth + 1
+    if depth >= 2:
+        _rewire(states, edges, u, below)
+
+
+EDITS = (
+    _edit_parent, _edit_children, _edit_score, _edit_status, _edit_edge, _rewire, _close_cycle
+)
+
+
+class TestCertified:
+    """`_certified` holds exactly when the five checkers all return []."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            topology.edge_markov(topology.EdgeMarkovParams(12, 0.3, 0.3, seed=3)),
+            topology.edge_markov(topology.EdgeMarkovParams(30, 0.02, 0.2, seed=4)),
+            contact_graph(5),
+        ],
+        ids=["edge-markov-churny", "edge-markov-sparse", "contacts"],
+    )
+    def test_every_round_of_a_run(self, graph):
+        for lazy in (False, True):
+            for i, edges, config in engine.iter_run(graph, 400, seed=9, lazy=lazy):
+                assert analysis._certified(config, edges)
+                assert five_checkers_clean(config, edges)
+
+    def test_golden_corrupted_corpus(self):
+        verdicts = []
+        for config, edges in corrupted_configurations():
+            verdict = analysis._certified(config, edges)
+            assert verdict == five_checkers_clean(config, edges)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        rounds=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+        edits=st.lists(
+            st.tuples(st.sampled_from(EDITS), st.integers(0, 10), st.integers(-1, 11)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_edited_engine_configuration(self, n, rounds, seed, edits):
+        graph = topology.edge_markov(topology.EdgeMarkovParams(n, 0.3, 0.05, seed=seed))
+        *_, (i, edges, config) = engine.iter_run(graph, rounds, seed)
+        states, edge_list = dict(config.states), set(edges)
+        for edit, a, b in edits:
+            # a names a node; b a node, no node (-1) or an id outside V (n + 1 and up)
+            u = a % n + 1
+            v = None if b < 0 else b + 1
+            if edit in (_edit_edge, _rewire) and v not in states:
+                continue
+            if edit in (_edit_children, _edit_score) and v is None:
+                continue
+            try:
+                edit(states, edge_list, u, v)
+            except ValueError:  # a state NodeState refuses, such as a child as parent
+                assume(False)
+        config = Configuration(round=i, states=states)
+        edges = frozenset(edge_list)
+        assert analysis._certified(config, edges) == five_checkers_clean(config, edges)

@@ -5,8 +5,9 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynaforest import cli, engine
+from dynaforest import cli, engine, topology
 from dynaforest.cli import (
     ConfigError,
     RunConfig,
@@ -18,6 +19,8 @@ from dynaforest.cli import (
     read_trace_file,
 )
 from dynaforest.model import Action, Status
+
+from test_analysis import contact_graph
 
 
 def run_args(*extra):
@@ -482,6 +485,40 @@ class TestCmdCheck:
         assert err.startswith("cannot parse trace: ")
         assert "line 7: node 1 is listed twice" in err
 
+    @pytest.mark.parametrize(
+        "node_line, edit, message",
+        [
+            (False, lambda t: [t[0], *t], "edges not in canonical form"),
+            (False, lambda t: ["-".join(reversed(t[0].split("-"))), *t[1:]],
+             "edges not in canonical form"),
+            (False, lambda t: [t[1], t[0], *t[2:]] if len(t) > 1 else t,
+             "edges not in canonical form"),
+            (True, lambda t: [t[1], t[0], *t[2:]], "nodes not in canonical form"),
+            (True, lambda t: [_reverse_children(x) for x in t], "nodes not in canonical form"),
+        ],
+        ids=["duplicate-edge", "reversed-edge", "unsorted-edges", "nodes-out-of-order",
+             "unsorted-children"],
+    )
+    def test_non_canonical_line_is_a_parse_error(
+        self, tmp_path, capsys, node_line, edit, message
+    ):
+        # the parsed round would pass every checker: the text itself is refused
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        for k in range(6 if node_line else 5, len(lines), 2):
+            tokens = lines[k].split()
+            if tokens != ["-"] and edit(tokens) != tokens:
+                lines[k] = " ".join(edit(tokens))
+                break
+        else:
+            pytest.fail("no round of the trace can take the edit")
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace: ")
+        assert f"line {k + 1}: {message}" in err
+
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -490,6 +527,47 @@ class TestCmdCheck:
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt")]) == cli.EXIT_FAILURE
+
+
+def _reverse_children(token):
+    """A node tuple with its children listed in descending order."""
+    *head, children = token.split(":")
+    return ":".join([*head, ",".join(reversed(children.split(",")))])
+
+
+def _scripted_graph(n, pool, pattern):
+    """Rounds drawn from a pool of edge sets: `scripted` gives each round its
+    own frozenset, so a repeated set is equal to the last one but not the same."""
+    pairs = [[(u % n + 1, v % n + 1) for u, v in es if u % n != v % n] for es in pool]
+    return topology.scripted(range(1, n + 1), [pairs[k % len(pairs)] for k in pattern])
+
+
+class TestTraceWriter:
+    """One `TraceWriter` over a run writes what `trace_round_lines` writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        adversary=st.sampled_from(["edge-markov", "contacts", "scripted"]),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+        lazy=st.booleans(),
+        pool=st.lists(
+            st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12),
+            min_size=1,
+            max_size=3,
+        ).map(lambda pool: [[], *pool]),
+        pattern=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    )
+    def test_lines_equal_stateless_formatting(self, adversary, n, seed, lazy, pool, pattern):
+        if adversary == "edge-markov":
+            graph = topology.edge_markov(topology.EdgeMarkovParams(n, 0.3, 0.3, seed=seed))
+        elif adversary == "contacts":
+            graph = contact_graph(seed, n=n + 1, contacts=2 * n, seconds=6)
+        else:
+            graph = _scripted_graph(n, pool, pattern)
+        writer = cli.TraceWriter()
+        for i, edges, config in engine.iter_run(graph, len(pattern), seed, lazy):
+            assert writer.round_lines(edges, config) == cli.trace_round_lines(edges, config)
 
 
 class TestReplayFigure:
