@@ -3,7 +3,9 @@ checkers attached, writes CSV/trace files and an SVG plot.
 
 Commands:
     run           execute one simulation per seed, write metrics and traces
-    check         replay every invariant checker over a stored trace file
+    check         replay every invariant checker over a stored trace file; it
+                  reads one round at a time, and the header and every round
+                  must be exactly in the form `run` writes them
     replay-figure run a built-in scripted scenario and print its state table
 
 `run --config FILE` reads settings from a file of `key=value` lines; `#`
@@ -23,10 +25,11 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import analysis, engine, topology
 from .model import Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
@@ -195,31 +198,34 @@ def parse_config_file(path) -> argparse.Namespace:
     parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     options = add_run_options(parser)
     values = argparse.Namespace()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = (part.strip() for part in text.partition("="))
-            flag = "--" + key
-            action = options.get(flag)
-            if action is None:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            bad = ConfigError(f"{path}: line {lineno}: bad value {value!r} for config key {key!r}")
-            if isinstance(action, argparse.BooleanOptionalAction):
-                on = _BOOLEANS.get(value.lower())
-                if on is None:
-                    raise bad
-                # the flag itself, or the other spelling of the same setting
-                token = flag if on else next(f for f in action.option_strings if f != flag)
-            else:
-                token = f"{flag}={value}"
-            try:
-                parser.parse_args([token], values)
-            except argparse.ArgumentError:
-                raise bad from None
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, value = (part.strip() for part in text.partition("="))
+        flag = "--" + key
+        action = options.get(flag)
+        if action is None:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        bad = ConfigError(f"{path}: line {lineno}: bad value {value!r} for config key {key!r}")
+        if isinstance(action, argparse.BooleanOptionalAction):
+            on = _BOOLEANS.get(value.lower())
+            if on is None:
+                raise bad
+            # the flag itself, or the other spelling of the same setting
+            token = flag if on else next(f for f in action.option_strings if f != flag)
+        else:
+            token = f"{flag}={value}"
+        try:
+            parser.parse_args([token], values)
+        except argparse.ArgumentError:
+            raise bad from None
     return values
 
 
@@ -244,9 +250,6 @@ def read_script_file(path) -> list:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
-                continue
-            if text == "-":
-                schedule.append(frozenset())
                 continue
             try:
                 schedule.append(_parse_edges_token_line(text))
@@ -388,81 +391,77 @@ def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration
             status = Status(fields[1])
             parent = None if fields[2] == "-" else int(fields[2])
             score = int(fields[3])
-            children = (
-                frozenset()
-                if fields[4] == "-"
-                else frozenset(int(c) for c in fields[4].split(","))
-            )
-            state = NodeState(nid, status, parent, children, score)
+            children = () if fields[4] == "-" else fields[4].split(",")
+            state = NodeState(nid, status, parent, frozenset(map(int, children)), score)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
         if nid in states:
             raise TraceFormatError(f"line {lineno}: node {nid} is listed twice")
         states[nid] = state
-    try:
-        return Configuration(round=round_index, states=states)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc}") from None
+    return Configuration(round=round_index, states=states)
 
 
-@dataclass
-class StoredTrace:
-    vertices: frozenset
-    seed: int
-    lazy: bool
-    params: str
-    rounds: list = field(default_factory=list)  # (round, EdgeSet, Configuration)
-
-
-def read_trace_file(path) -> StoredTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _parse_header(lines: list) -> frozenset:
+    """The vertex set named by a trace's first five lines."""
     if not lines or lines[0] != TRACE_MAGIC:
-        raise TraceFormatError(f"{path}: not a {TRACE_MAGIC!r} file")
+        raise TraceFormatError(f"not a {TRACE_MAGIC!r} file")
     try:
         vertices = frozenset(int(v) for v in lines[1].split()[1:])
         seed = int(lines[2].split()[1])
         lazy = bool(int(lines[3].split()[1]))
-        params = lines[4].partition(" ")[2]
+        params = dict(token.split("=", 1) for token in lines[4].split()[1:] if token != "-")
     except (IndexError, ValueError) as exc:
-        raise TraceFormatError(f"{path}: malformed header: {exc}") from None
-    body = lines[5:]
-    if len(body) % 2 != 0:
-        raise TraceFormatError(f"{path}: odd number of body lines ({len(body)})")
-    stored = StoredTrace(vertices=vertices, seed=seed, lazy=lazy, params=params)
-    for k in range(0, len(body), 2):
-        round_index = k // 2 + 1
+        raise TraceFormatError(f"malformed header: {exc}") from None
+    for lineno, (got, want) in enumerate(zip(lines, trace_header(vertices, seed, lazy, params)), 1):
+        if got != want:
+            raise TraceFormatError(
+                f"line {lineno}: header not in canonical form (expected {want!r})"
+            )
+    return vertices
+
+
+def read_trace_file(path) -> Iterator[tuple]:
+    """Yield each round of a stored trace as (round, E_i, C_i), one edge line and
+    node line at a time.  The header and each round must read back exactly as the
+    writer formats what was parsed from them, or a TraceFormatError names the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate((raw.rstrip("\n") for raw in fh), start=1)
         try:
-            edges = _parse_edges_token_line(body[k])
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}: line {k + 6}: {exc}") from None
-        foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
-        if foreign:
-            u, v = min(foreign)
-            raise TraceFormatError(
-                f"{path}: line {k + 6}: edge {{{u},{v}}} endpoint "
-                f"{u if u not in vertices else v} is not in the vertex set"
-            )
-        config = _parse_nodes_line(body[k + 1], k + 7, round_index)
-        if config.vertices != vertices:
-            raise TraceFormatError(
-                f"{path}: line {k + 7}: round {round_index} nodes do not match the header"
-            )
-        # the parsers accept text the writer never writes; a round must read
-        # back exactly as the writer formats what was parsed from it
-        edge_line, node_line = trace_round_lines(edges, config)
-        if body[k] != edge_line:
-            raise TraceFormatError(
-                f"{path}: line {k + 6}: edges not in canonical form "
-                "(each edge once, smaller id first, in ascending order)"
-            )
-        if body[k + 1] != node_line:
-            raise TraceFormatError(
-                f"{path}: line {k + 7}: nodes not in canonical form "
-                "(tuples in ascending id order, children ascending)"
-            )
-        stored.rounds.append((round_index, edges, config))
-    return stored
+            vertices = _parse_header([text for _, text in islice(lines, 5)])
+            for round_index, (lineno, text) in enumerate(lines, start=1):
+                try:
+                    edges = _parse_edges_token_line(text)
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from None
+                foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
+                if foreign:
+                    u, v = min(foreign)
+                    raise TraceFormatError(
+                        f"line {lineno}: edge {{{u},{v}}} endpoint "
+                        f"{u if u not in vertices else v} is not in the vertex set"
+                    )
+                node_lineno, node_text = next(lines, (None, None))
+                if node_text is None:
+                    raise TraceFormatError(f"line {lineno}: round {round_index} has no node line")
+                config = _parse_nodes_line(node_text, node_lineno, round_index)
+                if config.vertices != vertices:
+                    raise TraceFormatError(
+                        f"line {node_lineno}: round {round_index} nodes do not match the header"
+                    )
+                edge_line, node_line = trace_round_lines(edges, config)
+                if text != edge_line:
+                    raise TraceFormatError(
+                        f"line {lineno}: edges not in canonical form "
+                        "(each edge once, smaller id first, in ascending order)"
+                    )
+                if node_text != node_line:
+                    raise TraceFormatError(
+                        f"line {node_lineno}: nodes not in canonical form "
+                        "(tuples in ascending id order, children ascending)"
+                    )
+                yield round_index, edges, config
+        except (TraceFormatError, UnicodeDecodeError) as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +636,11 @@ def cmd_run(config: RunConfig) -> int:
 # the check command
 
 def cmd_check(path) -> int:
+    """Check each round as it is read, but print violations only once all have parsed."""
+    rounds, violations = 0, []
     try:
-        stored = read_trace_file(path)
+        for rounds, edges, config in read_trace_file(path):
+            violations += analysis.run_all_checks(config, edges)
     except TraceFormatError as exc:
         print(f"cannot parse trace: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -646,15 +648,12 @@ def cmd_check(path) -> int:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
-    total = 0
-    for round_index, edges, config in stored.rounds:
-        for v in analysis.run_all_checks(config, edges):
-            print(str(v), file=sys.stderr)
-            total += 1
-    if total:
-        print(f"{total} violation(s) in {len(stored.rounds)} rounds", file=sys.stderr)
+    for v in violations:
+        print(str(v), file=sys.stderr)
+    if violations:
+        print(f"{len(violations)} violation(s) in {rounds} rounds", file=sys.stderr)
         return EXIT_VIOLATION
-    print(f"{len(stored.rounds)} rounds checked, no violations")
+    print(f"{rounds} rounds checked, no violations")
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 import argparse
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -190,6 +191,16 @@ class TestConfigParsing:
         )
         assert not out.exists()
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"nodes=4\nrounds=\xff\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
     def test_zero_seeds_is_usage_error(self, capsys):
         rc = main(run_args("--seeds", ","))
         assert rc == cli.EXIT_USAGE
@@ -283,11 +294,11 @@ class TestCmdRun:
         rc = main(["run", "--adversary", "scripted", "--script-file", str(script),
                    "--nodes", "3", "--rounds", "6", "--seeds", "0", "--out", str(out)])
         assert rc == 0
-        stored = read_trace_file(out / "trace_seed0.txt")
-        assert len(stored.rounds) == 6
-        assert stored.rounds[0][1] == frozenset({(1, 2), (2, 3)})
-        assert stored.rounds[1][1] == frozenset()
-        assert stored.rounds[5][1] == frozenset({(1, 3)})  # tail repetition
+        rounds = list(read_trace_file(out / "trace_seed0.txt"))
+        assert len(rounds) == 6
+        assert rounds[0][1] == frozenset({(1, 2), (2, 3)})
+        assert rounds[1][1] == frozenset()
+        assert rounds[5][1] == frozenset({(1, 3)})  # tail repetition
 
 
     @pytest.mark.parametrize(
@@ -518,6 +529,68 @@ class TestCmdCheck:
         err = capsys.readouterr().err
         assert err.startswith("cannot parse trace: ")
         assert f"line {k + 1}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "lineno, edit",
+        [
+            (2, lambda line: line.replace("vertices 1 2 ", "vertices 2 1 ")),
+            (2, lambda line: line.replace("vertices 1 ", "vertices 1 1 ")),
+            (3, lambda line: line.replace("seed ", "seed 0")),
+            (4, lambda line: "lazy 5"),
+            (5, lambda line: " ".join(["params", *reversed(line.split()[1:])])),
+            (5, lambda line: line + " "),
+        ],
+        ids=["unsorted-vertices", "repeated-vertex", "seed-leading-zero", "lazy-5",
+             "params-out-of-order", "trailing-space"],
+    )
+    def test_non_canonical_header_is_a_parse_error(self, tmp_path, capsys, lineno, edit):
+        # `int`, `frozenset` and `split` read each edited line, which the writer never writes
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        edited = edit(lines[lineno - 1])
+        assert edited != lines[lineno - 1]
+        lines[lineno - 1] = edited
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot parse trace: {tampered}: line {lineno}: ")
+        assert "header not in canonical form" in err
+
+    def test_edge_line_without_node_line_is_a_parse_error(self, tmp_path, capsys):
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        cut = tmp_path / "cut.txt"
+        cut.write_text("\n".join(lines[:-1]) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(cut)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"cannot parse trace: {cut}: line {len(lines) - 1}: round 40 has no node line\n"
+        )
+
+    def test_non_utf8_byte_is_a_parse_error(self, tmp_path, capsys):
+        data = self.make_trace(tmp_path).read_bytes()
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_bytes(data[:-1] + b"\xff\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot parse trace: {tampered}: 'utf-8' codec can't decode")
+
+    def test_reading_holds_one_round_at_a_time(self, tmp_path):
+        lines = cli.run_one_seed(RunConfig(nodes=12, rounds=2000, checkers=False), 0).trace_lines
+
+        def peak(rounds):
+            path = tmp_path / f"trace{rounds}.txt"
+            path.write_text("\n".join(lines[: 5 + 2 * rounds]) + "\n")
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in read_trace_file(path)) == rounds
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(200)
+        assert peak(2000) <= 1.5 * short
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
