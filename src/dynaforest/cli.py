@@ -377,28 +377,35 @@ def _parse_edges_token_line(text: str) -> EdgeSet:
     return make_edge_set(pairs)
 
 
-def _parse_nodes_line(text: str, lineno: int, round_index: int) -> Configuration:
+def _parse_nodes_line(text: str, lineno: int, round_index: int, previous: dict) -> tuple:
     """Rebuild a checkable configuration from one 'id:status:parent:score:children'
     line.  The pending action, which the checkers never read, is HELLO.  The
-    states keep the line's order, which `read_trace_file` requires to ascend."""
+    states keep the line's order, which `read_trace_file` requires to ascend.
+
+    Returns the configuration and its states by token.  `previous` is that
+    mapping for the line before: a token that reads exactly as one there gets
+    the same `NodeState` object back, which is the state a parse would give."""
     states = {}
+    by_token = {}
     for token in text.split():
-        fields = token.split(":")
-        if len(fields) != 5:
-            raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}")
-        try:
-            nid = int(fields[0])
-            status = Status(fields[1])
-            parent = None if fields[2] == "-" else int(fields[2])
-            score = int(fields[3])
-            children = () if fields[4] == "-" else fields[4].split(",")
-            state = NodeState(nid, status, parent, frozenset(map(int, children)), score)
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
-        if nid in states:
-            raise TraceFormatError(f"line {lineno}: node {nid} is listed twice")
-        states[nid] = state
-    return Configuration(round=round_index, states=states)
+        state = previous.get(token)
+        if state is None:
+            fields = token.split(":")
+            if len(fields) != 5:
+                raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}")
+            try:
+                nid = int(fields[0])
+                status = Status(fields[1])
+                parent = None if fields[2] == "-" else int(fields[2])
+                score = int(fields[3])
+                children = () if fields[4] == "-" else fields[4].split(",")
+                state = NodeState(nid, status, parent, frozenset(map(int, children)), score)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
+        if state.id in states:
+            raise TraceFormatError(f"line {lineno}: node {state.id} is listed twice")
+        states[state.id] = by_token[token] = state
+    return Configuration(round=round_index, states=states), by_token
 
 
 def _parse_header(lines: list) -> frozenset:
@@ -423,32 +430,44 @@ def _parse_header(lines: list) -> frozenset:
 def read_trace_file(path) -> Iterator[tuple]:
     """Yield each round of a stored trace as (round, E_i, C_i), one edge line and
     node line at a time.  The header and each round must read back exactly as the
-    writer formats what was parsed from them, or a TraceFormatError names the line."""
+    writer formats what was parsed from them, or a TraceFormatError names the line.
+
+    One `TraceWriter` formats the whole read.  A line, or a node tuple, that
+    reads exactly as in the round before gets the round before's parsed object
+    back, so the writer hands back its text without formatting it again; that
+    text already matched the file, so the check stays exact."""
+    writer = TraceWriter()
+    last_edge_text = edges = None
+    states_by_token: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate((raw.rstrip("\n") for raw in fh), start=1)
         try:
             vertices = _parse_header([text for _, text in islice(lines, 5)])
             for round_index, (lineno, text) in enumerate(lines, start=1):
-                try:
-                    edges = _parse_edges_token_line(text)
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {lineno}: {exc}") from None
-                foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
-                if foreign:
-                    u, v = min(foreign)
-                    raise TraceFormatError(
-                        f"line {lineno}: edge {{{u},{v}}} endpoint "
-                        f"{u if u not in vertices else v} is not in the vertex set"
-                    )
+                if text != last_edge_text:
+                    try:
+                        edges = _parse_edges_token_line(text)
+                    except ValueError as exc:
+                        raise TraceFormatError(f"line {lineno}: {exc}") from None
+                    foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
+                    if foreign:
+                        u, v = min(foreign)
+                        raise TraceFormatError(
+                            f"line {lineno}: edge {{{u},{v}}} endpoint "
+                            f"{u if u not in vertices else v} is not in the vertex set"
+                        )
+                    last_edge_text = text
                 node_lineno, node_text = next(lines, (None, None))
                 if node_text is None:
                     raise TraceFormatError(f"line {lineno}: round {round_index} has no node line")
-                config = _parse_nodes_line(node_text, node_lineno, round_index)
+                config, states_by_token = _parse_nodes_line(
+                    node_text, node_lineno, round_index, states_by_token
+                )
                 if config.vertices != vertices:
                     raise TraceFormatError(
                         f"line {node_lineno}: round {round_index} nodes do not match the header"
                     )
-                edge_line, node_line = trace_round_lines(edges, config)
+                edge_line, node_line = writer.round_lines(edges, config)
                 if text != edge_line:
                     raise TraceFormatError(
                         f"line {lineno}: edges not in canonical form "

@@ -10,25 +10,47 @@ from the pre-round snapshot alone; no node ever sees a same-round update of
 another node.
 
 A round steps only its dirty nodes.  Node u is dirty in round i+1 when
-- its state or a neighbour's state changed in round i;
-- its incident edges differ between E_i and E_{i+1}; or
-- it ended round i holding a token with children (it will draw randomness)
-  or with a FLIP/SELECT pending.
+- (E) its row of the adjacency differs between E_i and E_{i+1};
+- (A) it holds a token in C_i and has children or a FLIP/SELECT pending;
+- (B) it is the target of a FLIP/SELECT pending in C_i; or
+- (H) it holds a token in C_i and a neighbour's state changed in round i.
 
 Skipping a clean node is exact, by induction over the rounds.  A step reads
-only the node's own state, its neighbours' states, its incident edges and
-its random stream.  A clean node's state did not change in round i, so
-stepping it on round i's inputs returned (or, for a node skipped there too,
-would have returned) that same state.  Round i+1 gives it the same inputs,
-and it draws no randomness.  `node_step` is pure, so stepping it again
-would return an equal state; the node keeps its `NodeState` object instead.
+only the node's own state, its senders (its row), the senders' states, the
+states aimed at it and, for a token holder with children, its random
+stream.  Let u be clean in round i+1 and let round j <= i be the last one
+that stepped it.  Its row is the same in E_j through E_{i+1}, or (E) would
+have marked it in between.
+- u has no FLIP/SELECT pending (A), so it commits nothing, and nothing is
+  aimed at it (B), so it adopts no one.
+- If u is an N node, its children are a subset of its round-j senders, as
+  every step leaves them, and its parent is one of them: a step that ends
+  in N either kept a parent that was a sender or committed to a target that
+  was.  The row is unchanged, so no child is dropped and no token is
+  regenerated; an N node prepares a HELLO.  The step returns `prev`.
+- If u holds a token, it has no children (A), so it draws no randomness and
+  cannot FLIP, and its round-j scan over the announcements of C_{j-1} found
+  no merge contender, or it would have a SELECT pending.  A neighbour that
+  changed in round j or later would have marked u by (H) in the round after
+  it, so its neighbours' states in C_i are those of C_{j-1}.  The scan again
+  finds no contender and the step returns `prev`.
+`node_step` is pure, so the node keeps its `NodeState` object instead.
 `run_round` without a carried `RoundCarry` treats every node as dirty: the
 full round.
 
 The FLIP/SELECTs are grouped by target over the dirty nodes alone.  A node
-with a FLIP/SELECT pending is always dirty: it was marked by the round that
-prepared it, and a node that is not stepped keeps its state, so no clean
-node has one.  In a full round every node is dirty.
+with a FLIP/SELECT pending is always dirty: it was stepped by the round that
+prepared it, which marked it by (A); a node that is not stepped keeps its
+state, so no clean node has one.  In a full round every node is dirty.
+
+(H) reads only a neighbour's announcement (status, action, score), but a
+change to any field marks: the step counts are the same in the sparse
+regime, and the marking is cheaper.  The (H) neighbours are collected in
+one set per round and filtered to the token holders once, at the round's
+end.  Once that set covers V, the round marks every node dirty instead.
+Over-marking is exact, since a full round steps every node, and in churny
+rounds it saves the marking work of the rest of the round and (E)'s row
+comparison in the next.
 
 The engine builds its adjacency with `model.adjacency` when E_i changes and
 keeps it in `RoundCarry`; nothing else reads it.
@@ -47,6 +69,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterator, Mapping, Optional
 
 from .model import Action, Configuration, EdgeSet, EvolvingGraph, NodeId, Status, adjacency
@@ -115,8 +139,9 @@ def run_round(
             dirty = states.keys()
         else:
             previous, dirty = carry.adjacency, carry.dirty
-            if len(dirty) < everyone:
-                dirty = dirty.union(u for u, vs in neighbours.items() if vs != previous[u])
+            if len(dirty) < everyone:  # (E), the rows compared in C, not in a Python loop
+                rows = map(ne, neighbours.values(), map(previous.__getitem__, neighbours))
+                dirty = dirty.union(compress(neighbours, rows))
     order = sorted(dirty)
     # The pending FLIP/SELECTs by target: only dirty nodes have one.
     aimed = {}
@@ -126,6 +151,7 @@ def run_round(
             aimed.setdefault(st.target, []).append(st)
     new_states = dict(states)
     next_dirty = set()
+    heard = set()  # (H): the neighbours of the nodes that changed
     for u in order:
         prev = states[u]
         senders = neighbours[u]
@@ -134,11 +160,17 @@ def run_round(
         )
         if len(next_dirty) == everyone:
             continue
+        if st.action is not _HELLO:  # (A) and (B)
+            next_dirty.add(u)
+            next_dirty.add(st.target)
+        elif st.status is _T and st.children:  # (A)
+            next_dirty.add(u)
         if st is not prev:  # node_step returns `prev` exactly when equal
-            next_dirty.add(u)
-            next_dirty.update(senders)
-        if (st.status is _T and st.children) or st.action is not _HELLO:
-            next_dirty.add(u)
+            heard.update(senders)
+            if len(heard) == everyone:
+                next_dirty.update(states)  # over-marking is exact
+    if heard and len(next_dirty) < everyone:
+        next_dirty.update(v for v in heard - next_dirty if new_states[v].status is _T)
     if carry is not None:
         carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty
     return Configuration(round=config.round + 1, states=new_states)

@@ -90,10 +90,20 @@ def scripted(vertices: Iterable, schedule: Sequence[EdgeSet]) -> EvolvingGraph:
 class _MarkovSchedule:
     """Sequential two-state chain over all node pairs, numpy-vectorized.
 
+    Each round draws one uniform number per pair.  A present pair dies when
+    its draw is below p_death, an absent one is born when its draw is below
+    p_birth: a pair flips exactly when its draw is below its threshold,
+    `where(present, p_death, p_birth)`.  So the chain advances by a flip
+    mask, `present ^= draws < threshold`, which makes the same draws and the
+    same comparisons as computing the next presence pair by pair, and gives
+    the same E_i.  The threshold changes only with the present set, so it is
+    recomputed only after a round with a flip; a quiet round costs the draws,
+    one comparison and a test for any flip.
+
     Forward queries advance the chain; a backward query replays from round
     one, so any access order yields the same deterministic schedule.  While
-    the present set does not change, queries return the same `frozenset`
-    object, so callers can tell an unchanged E_i by identity.
+    no pair flips, queries return the same `frozenset` object, so callers
+    can tell an unchanged E_i by identity.
     """
 
     def __init__(self, params: EdgeMarkovParams):
@@ -105,32 +115,29 @@ class _MarkovSchedule:
     def _reset(self):
         self._rng = np.random.Generator(np.random.PCG64(self._params.seed))
         self._present = np.zeros(len(self._pairs), dtype=bool)
+        self._threshold = np.full(len(self._pairs), self._params.p_birth)
         self._round = 0
-        self._cached: Optional[EdgeSet] = None
-        self._cached_present = self._present
+        self._cached: Optional[EdgeSet] = None  # None: stale, rebuild on the next query
 
     def _advance(self):
-        p = self._params
-        draws = self._rng.random(len(self._pairs))
-        if self._round == 0:
-            self._present = draws < p.p_birth
-        else:
-            self._present = np.where(self._present, draws >= p.p_death, draws < p.p_birth)
+        flips = self._rng.random(len(self._pairs)) < self._threshold
+        if flips.any():
+            self._present ^= flips
+            p = self._params
+            self._threshold = np.where(self._present, p.p_death, p.p_birth)
+            self._cached = None
         self._round += 1
 
     def __call__(self, i: int) -> EdgeSet:
         if i < 1:
             raise ValueError(f"round index must be >= 1, got {i}")
-        if i == self._round:
-            return self._cached
         if i < self._round:
             self._reset()
         while self._round < i:
             self._advance()
-        if self._cached is None or not np.array_equal(self._present, self._cached_present):
+        if self._cached is None:
             present = np.flatnonzero(self._present).tolist()
             self._cached = frozenset(map(self._pairs.__getitem__, present))
-            self._cached_present = self._present
         return self._cached
 
 
@@ -204,12 +211,17 @@ def parse_contact_trace(
 
     vertices = frozenset(v for rec in records for v in (rec.a, rec.b))
     starts = {edge: [s for s, _ in spans] for edge, spans in merged.items()}
-    # Rounds at which the edge set differs from the round before: a stretch
-    # runs from one of them to the next, and one frozenset serves all of it.
-    changes = sorted(
-        {r for spans in merged.values() for first, last in spans for r in (first, last + 1)}
-    )
-    served = [None, frozenset()]  # [stretch index, its edge set]
+    # Rounds at which the edge set differs from the round before, with the
+    # edges born and the edges that die there.  A stretch runs from one
+    # change to the next, and one frozenset serves all of it.
+    born: dict = {}
+    died: dict = {}
+    for edge, spans in merged.items():
+        for first, last in spans:
+            born.setdefault(first, []).append(edge)
+            died.setdefault(last + 1, []).append(edge)
+    changes = sorted(born.keys() | died.keys())
+    served = [0, frozenset()]  # [stretch index, its edge set]
 
     def edges_at(i: int) -> EdgeSet:
         present = []
@@ -223,7 +235,11 @@ def parse_contact_trace(
         if i < 1:
             raise ValueError(f"round index must be >= 1, got {i}")
         stretch = bisect.bisect_right(changes, i)
-        if stretch != served[0]:
+        if stretch == served[0] + 1:  # the next stretch: apply its change
+            change = changes[stretch - 1]
+            edges = served[1].difference(died.get(change, ())).union(born.get(change, ()))
+            served[:] = [stretch, edges]
+        elif stretch != served[0]:
             served[:] = [stretch, edges_at(i)]
         return served[1]
 

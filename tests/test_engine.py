@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynaforest import analysis, engine, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
@@ -7,6 +10,18 @@ from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge
 
 def static_graph(n, edges):
     return topology.scripted(range(1, n + 1), [edges])
+
+
+def mismatched_rounds(graph, rounds, seed, lazy=False, rest_probability=0.5):
+    """The rounds where `iter_run`'s delta rounds differ from full rounds."""
+    full = initial_configuration(graph.vertices)
+    rngs = make_node_rngs(seed, graph.vertices)
+    mismatches = []
+    for i, edges, config in engine.iter_run(graph, rounds, seed, lazy, rest_probability):
+        full = run_round(full, edges, rngs, lazy, rest_probability)
+        if config != full:
+            mismatches.append(i)
+    return mismatches
 
 
 def run_history(graph, rounds, seed, lazy=False):
@@ -190,6 +205,67 @@ class TestRoundProperties:
 
 
 class TestDeltaRounds:
+    def test_flip_target_is_stepped(self):
+        # rule (B): 1 SELECTs 2, joins it, and 2 FLIPs the token back.  In
+        # round 3 node 1 is an N node on a static edge; only the FLIP aimed
+        # at it marks it dirty.  The isolated node 3 keeps the changed
+        # nodes' neighbours from covering V, which would mark every node
+        graph = static_graph(3, [(1, 2)])
+        configurations = run_history(graph, rounds=3, seed=0)[0]
+        assert configurations[2].states[2].action is Action.FLIP
+        assert configurations[2].states[1].status is Status.N
+        assert configurations[3].states[1].status is Status.T
+        assert mismatched_rounds(graph, rounds=8, seed=0) == []
+
+    def test_token_holder_hears_a_changed_neighbour(self):
+        # rule (H): 1 joins 3, and 3 FLIPs the token to 1, whose score
+        # becomes 3.  Node 2, a childless token holder on a static edge to
+        # 1, then hears 1 announce a token of score 3 > 2 and SELECTs it;
+        # only 1's change marks 2 dirty.  The isolated node 4 keeps the
+        # changed nodes' neighbours from covering V, which would mark every
+        # node
+        graph = static_graph(4, [(1, 2), (1, 3)])
+        configurations = run_history(graph, rounds=4, seed=0)[0]
+        quiet = configurations[3].states[2]
+        assert quiet.status is Status.T and not quiet.children
+        assert quiet.action is Action.HELLO
+        assert configurations[3].states[1].status is Status.T
+        assert configurations[3].states[1].score == 3
+        assert configurations[4].states[2].action is Action.SELECT
+        assert configurations[4].states[2].target == 1
+        assert mismatched_rounds(graph, rounds=8, seed=0) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5]),
+        st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.floats(0.05, 0.95).filter(lambda p: p != 0.5),
+    )
+    def test_edge_markov_runs_match_full_rounds(
+        self, n, p_birth, p_death, seed, lazy, rest_probability
+    ):
+        params = topology.EdgeMarkovParams(n=n, p_birth=p_birth, p_death=p_death, seed=seed)
+        graph = topology.edge_markov(params)
+        assert mismatched_rounds(graph, 120, seed, lazy, rest_probability) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.05, 0.95))
+    def test_static_stretches_between_changes_match_full_rounds(
+        self, data, seed, lazy, rest_probability
+    ):
+        n = data.draw(st.integers(2, 12))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = frozenset(data.draw(st.sets(st.sampled_from(pairs))))
+        script = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            script += [edges] * data.draw(st.integers(1, 15))  # a static stretch
+            edges = edges ^ data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=3))
+        graph = topology.scripted(range(1, n + 1), script)
+        assert mismatched_rounds(graph, len(script) + 10, seed, lazy, rest_probability) == []
+
     @pytest.mark.parametrize("lazy, rounds", [(True, 3000), (False, 1500)])
     def test_long_sparse_run_matches_full_rounds(self, monkeypatch, lazy, rounds):
         # 78 nodes at the criterion-5 mean degree 1.3, edges that live about
@@ -216,7 +292,10 @@ class TestDeltaRounds:
             full = run_round(full, edges, rngs, lazy)
             assert config == full, f"round {i}"
             steps[0] = 0
-        assert delta_steps < 78 * rounds / 2  # quiet nodes were really skipped
+        # quiet nodes were really skipped: also stepping every neighbour of
+        # a changed node would take 0.32 (lazy) and 0.43 of 78 * rounds
+        # steps; the dirty rule takes 0.20 and 0.32
+        assert delta_steps < 78 * rounds * (0.25 if lazy else 0.375)
 
     def test_unchanged_node_keeps_its_state_object(self):
         graph = static_graph(5, [(1, 2)])

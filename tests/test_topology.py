@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +86,30 @@ class TestEdgeMarkov:
         assert [graph.schedule(i) for i in range(1, 200)] == [
             reference.schedule(i) for i in range(1, 200)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 80), min_size=1, max_size=12),
+    )
+    def test_flip_mask_advance_matches_pairwise_chain(self, n, p_birth, p_death, seed, queries):
+        # the chain computed pair by pair: each pair's next presence from its draw
+        rng = np.random.Generator(np.random.PCG64(seed))
+        iu, jv = np.triu_indices(n, k=1)
+        pairs = list(zip((iu + 1).tolist(), (jv + 1).tolist()))
+        present = rng.random(len(pairs)) < p_birth
+        expected = []
+        for _ in range(80):
+            expected.append(frozenset(pairs[k] for k in np.flatnonzero(present)))
+            draws = rng.random(len(pairs))
+            present = np.where(present, draws >= p_death, draws < p_birth)
+        graph = edge_markov(EdgeMarkovParams(n=n, p_birth=p_birth, p_death=p_death, seed=seed))
+        # forward, repeated and backward queries, in the drawn order
+        for i in queries + queries[::-1] + list(range(1, 81)):
+            assert graph.schedule(i) == expected[i - 1], f"round {i}"
 
     def test_long_run_density_matches_stationary_law(self):
         # two-state chain: stationary presence = p_birth / (p_birth + p_death)
