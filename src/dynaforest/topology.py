@@ -210,10 +210,11 @@ def parse_contact_trace(
         merged[edge] = out
 
     vertices = frozenset(v for rec in records for v in (rec.a, rec.b))
-    starts = {edge: [s for s, _ in spans] for edge, spans in merged.items()}
     # Rounds at which the edge set differs from the round before, with the
     # edges born and the edges that die there.  A stretch runs from one
-    # change to the next, and one frozenset serves all of it.
+    # change to the next, and one frozenset serves all of it.  A query
+    # applies the changes up to its stretch in order; a backward query
+    # replays from the empty set before the first change.
     born: dict = {}
     died: dict = {}
     for edge, spans in merged.items():
@@ -223,24 +224,18 @@ def parse_contact_trace(
     changes = sorted(born.keys() | died.keys())
     served = [0, frozenset()]  # [stretch index, its edge set]
 
-    def edges_at(i: int) -> EdgeSet:
-        present = []
-        for edge, spans in merged.items():
-            k = bisect.bisect_right(starts[edge], i) - 1
-            if k >= 0 and spans[k][1] >= i:
-                present.append(edge)
-        return frozenset(present)
-
     def produce(i: int) -> EdgeSet:
         if i < 1:
             raise ValueError(f"round index must be >= 1, got {i}")
         stretch = bisect.bisect_right(changes, i)
-        if stretch == served[0] + 1:  # the next stretch: apply its change
-            change = changes[stretch - 1]
-            edges = served[1].difference(died.get(change, ())).union(born.get(change, ()))
-            served[:] = [stretch, edges]
-        elif stretch != served[0]:
-            served[:] = [stretch, edges_at(i)]
+        if stretch != served[0]:
+            if stretch < served[0]:
+                served[:] = [0, frozenset()]
+            edges = set(served[1])
+            for change in changes[served[0]:stretch]:
+                edges.difference_update(died.get(change, ()))
+                edges.update(born.get(change, ()))
+            served[:] = [stretch, frozenset(edges)]
         return served[1]
 
     return EvolvingGraph(
