@@ -25,6 +25,8 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
@@ -233,11 +235,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     """The parsed `run` flags over the `--config` file's values over the defaults."""
     values = vars(parse_config_file(args.config)) if args.config else {}
     values.update((key, value) for key, value in vars(args).items() if value is not None)
-    config = RunConfig(
+    return RunConfig(
         **{f.name: values[f.name] for f in fields(RunConfig) if values.get(f.name) is not None}
     )
-    config.validate()
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +254,18 @@ def read_script_file(path) -> list:
             try:
                 schedule.append(_parse_edges_token_line(text))
             except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return schedule
 
 
 def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
+    """The adversary's evolving graph for `seed`.
+
+    A contact or script file that cannot be read as one, or a contact trace
+    that covers no round, is a ConfigError.  `cmd_run` builds one graph
+    before any worker starts, so a bad file is reported once, as a usage
+    error, instead of raised in every worker.
+    """
     if config.adversary == "edge-markov":
         return topology.edge_markov(
             topology.EdgeMarkovParams(
@@ -268,37 +275,19 @@ def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
                 seed=seed,
             )
         )
-    if config.adversary == "trace":
-        records = topology.read_contact_file(config.trace_file)
-        return topology.parse_contact_trace(records, config.rounds_per_second)
-    schedule = read_script_file(config.script_file)
+    try:
+        if config.adversary == "trace":
+            records = topology.read_contact_file(config.trace_file)
+            graph = topology.parse_contact_trace(records, config.rounds_per_second)
+            if not graph.rounds:
+                raise ValueError("contact trace defines no rounds (no usable contacts)")
+            return graph
+        schedule = read_script_file(config.script_file)
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise ConfigError(str(exc)) from None
     vertices = {v for es in schedule for e in es for v in e}
     vertices |= set(range(1, config.nodes + 1))
     return topology.scripted(vertices, schedule)
-
-
-def resolve_rounds(config: RunConfig, graph: EvolvingGraph) -> int:
-    if config.adversary == "trace":
-        if not graph.rounds:
-            raise ConfigError("contact trace defines no rounds (no usable contacts)")
-        return graph.rounds
-    return config.rounds
-
-
-def check_adversary_input(config: RunConfig) -> None:
-    """Read and parse the contact or script file once, before any worker starts.
-
-    A malformed file is a ConfigError here instead of an exception raised in
-    every worker.  The workers still build their own graphs.
-    """
-    if config.adversary == "edge-markov":
-        return
-    try:
-        resolve_rounds(config, build_graph(config, config.seeds[0]))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +528,7 @@ class SeedResult:
     seed: int
     summary: Optional[analysis.MetricsSummary]
     trace_lines: list
-    violations: list  # [(round, kind, detail)] -- nonempty aborts the sweep
+    violations: list  # [analysis.Violation] -- nonempty aborts the sweep
 
 
 def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
@@ -552,22 +541,16 @@ def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
     it changed.
     """
     graph = build_graph(config, seed)
-    rounds = resolve_rounds(config, graph)
     metrics = analysis.MetricsAccumulator()
     writer = TraceWriter()
     trace_lines = trace_header(graph.vertices, seed, config.lazy, graph.params)
     for i, edges, cfg in engine.iter_run(
-        graph, rounds, seed, config.lazy, config.rest_probability
+        graph, graph.rounds or config.rounds, seed, config.lazy, config.rest_probability
     ):
         if config.checkers:
             bad = analysis.run_all_checks(cfg, edges)
             if bad:
-                return SeedResult(
-                    seed=seed,
-                    summary=None,
-                    trace_lines=[],
-                    violations=[(v.round, v.kind.value, v.detail) for v in bad],
-                )
+                return SeedResult(seed=seed, summary=None, trace_lines=[], violations=bad)
         metrics(i, edges, cfg)
         trace_lines.extend(writer.round_lines(edges, cfg))
     return SeedResult(
@@ -588,18 +571,23 @@ def _worker_count(n_seeds: int) -> int:
 
 def cmd_run(config: RunConfig) -> int:
     config.validate()
-    check_adversary_input(config)
+    if config.adversary != "edge-markov":
+        build_graph(config, config.seeds[0])  # a bad input file fails here, before fan-out
     workers = _worker_count(len(config.seeds))
     results = []
     try:
-        if workers == 1:
-            for seed in config.seeds:
-                results.append(run_one_seed(config, seed))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(run_one_seed, [config] * len(config.seeds), config.seeds):
-                    results.append(result)
-    except Exception as exc:  # in a seed, or a dead worker (BrokenProcessPool)
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            for result in (pool.map if pool else map)(
+                run_one_seed, [config] * len(config.seeds), config.seeds
+            ):
+                results.append(result)
+    except BrokenProcessPool as exc:
+        # the pool cannot tell whose worker died: name every seed still owed a result
+        lost = ", ".join(map(str, config.seeds[len(results):]))
+        print(f"a worker died; seeds without a result: {lost}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_FAILURE
+    except Exception as exc:  # raised in a seed
         # results arrive in seed order: the first seed without one failed
         seed = config.seeds[len(results)]
         print(f"seed {seed} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -612,8 +600,8 @@ def cmd_run(config: RunConfig) -> int:
                 f"(replay with --seeds {result.seed}):",
                 file=sys.stderr,
             )
-            for rnd, kind, detail in result.violations:
-                print(f"  round {rnd}: {kind}: {detail}", file=sys.stderr)
+            for v in result.violations:
+                print(f"  {v}", file=sys.stderr)
             return EXIT_VIOLATION
 
     out_dir = Path(config.out)
@@ -635,15 +623,15 @@ def cmd_run(config: RunConfig) -> int:
         "\n".join(analysis.aggregate_csv_lines(aggregate_rows)) + "\n"
     )
 
+    # every seed of one run has the same number of rounds
     rounds = len(results[0].summary.per_round)
     mean_overall = sum(r.summary.mean_trees_per_component for r in results) / len(results)
     print(f"{len(results)} seeds x {rounds} rounds: mean trees/component {mean_overall:.4f}")
 
     try:
-        shared = min(len(r.summary.per_round) for r in results)
         per_round = [
             sum(r.summary.per_round[i].ratio for r in results) / len(results)
-            for i in range(shared)
+            for i in range(rounds)
         ]
         (out_dir / "trees_per_component.svg").write_text(render_mean_ratio_svg(per_round))
     except Exception as exc:  # plot failures never affect the simulation outcome
@@ -699,19 +687,13 @@ def fig2_graph() -> EvolvingGraph:
     return topology.scripted(range(1, 9), FIG2_SCHEDULE)
 
 
-SCENARIOS = {"fig2": (fig2_graph, len(FIG2_SCHEDULE), FIG2_SEED)}
-
-
 def cmd_replay_figure(name: str, seed: Optional[int] = None) -> int:
-    if name not in SCENARIOS:
-        print(
-            f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}",
-            file=sys.stderr,
-        )
+    if name != "fig2":
+        print(f"unknown scenario {name!r}; available: fig2", file=sys.stderr)
         return EXIT_USAGE
-    builder, rounds, default_seed = SCENARIOS[name]
-    graph = builder()
-    use_seed = default_seed if seed is None else seed
+    graph = fig2_graph()
+    rounds = len(FIG2_SCHEDULE)
+    use_seed = FIG2_SEED if seed is None else seed
     print(f"scenario {name}: {len(graph.vertices)} nodes, {rounds} rounds, seed {use_seed}")
     for i, edges, config in engine.iter_run(graph, rounds, use_seed):
         bad = analysis.run_all_checks(config, edges)

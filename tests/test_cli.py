@@ -1,6 +1,7 @@
 import argparse
 import multiprocessing
 import os
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -287,6 +288,44 @@ class TestCmdRun:
         assert "replay with --seeds 0" in err and "faked" in err
         assert not out.exists()  # nothing written after an aborted sweep
 
+    def test_violation_in_a_worker_reads_as_in_process(self, tmp_path, monkeypatch, capsys):
+        # the violations cross the pickle boundary as `Violation` objects
+        from dynaforest.analysis import Violation, ViolationKind
+
+        def fake_checks(config, edges):
+            if config.round < 3:
+                return []
+            return [
+                Violation(config.round, ViolationKind.StateConsistency, "node 1 faked"),
+                Violation(config.round, ViolationKind.ScorePermutation, "score 2 twice"),
+            ]
+
+        monkeypatch.setattr(cli.analysis, "run_all_checks", fake_checks)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DYNAFOREST_WORKERS", workers)
+            out = tmp_path / f"workers{workers}"
+            assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_VIOLATION
+            assert capsys.readouterr().err == (
+                "invariant violation in seed 0 (replay with --seeds 0):\n"
+                "  round 3: StateConsistency: node 1 faked\n"
+                "  round 3: ScorePermutation: score 2 twice\n"
+            )
+            assert not out.exists()
+
+    def test_serial_and_pool_fan_out_write_the_same_files(self, tmp_path, monkeypatch):
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DYNAFOREST_WORKERS", workers)
+            outs.append(tmp_path / f"workers{workers}")
+            assert main(run_args("--seeds", "0-3", "--lazy", "--out", str(outs[-1]))) == 0
+        serial, pooled = outs
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
+        assert len(names) == 10 and "trees_per_component.svg" in names
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
     def test_scripted_adversary_from_file(self, tmp_path):
         script = tmp_path / "script.txt"
         script.write_text("1-2 2-3\n-\n1-3\n")
@@ -309,10 +348,11 @@ class TestCmdRun:
     ):
         contacts = tmp_path / "contacts.txt"
         contacts.write_text(f"1 2 0 5\n{record}\n")
-        self.assert_config_error_before_fan_out(
+        err = self.assert_config_error_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "trace", "--trace-file", str(contacts)],
         )
+        assert "line 2" in err
 
     @pytest.mark.parametrize("line", ["1-x", "2-2"], ids=["non-integer", "self-loop"])
     def test_malformed_script_file_fails_before_fan_out(
@@ -320,12 +360,24 @@ class TestCmdRun:
     ):
         script = tmp_path / "script.txt"
         script.write_text(f"1-2\n{line}\n")
-        self.assert_config_error_before_fan_out(
+        err = self.assert_config_error_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "scripted", "--script-file", str(script), "--nodes", "3"],
         )
+        assert "line 2" in err
+
+    def test_contact_file_without_rounds_fails_before_fan_out(self, tmp_path, monkeypatch, capsys):
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text("# a b start end\n\n# no contact at all\n")
+        err = self.assert_config_error_before_fan_out(
+            tmp_path, monkeypatch, capsys,
+            ["--adversary", "trace", "--trace-file", str(contacts)],
+        )
+        assert err == "config error: contact trace defines no rounds (no usable contacts)\n"
 
     def assert_config_error_before_fan_out(self, tmp_path, monkeypatch, capsys, adversary):
+        """Run two seeds on two workers; return the config error's stderr."""
+
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
@@ -335,8 +387,9 @@ class TestCmdRun:
         rc = main(["run", *adversary, "--rounds", "5", "--seeds", "0-1", "--out", str(out)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "line 2" in err
+        assert err.startswith("config error: ")
         assert not out.exists()
+        return err
 
 
 class ForkPool(ProcessPoolExecutor):
@@ -384,7 +437,19 @@ class TestSeedFailure:
         out = tmp_path / "out"
         assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
-        assert err.startswith("seed 0 failed: BrokenProcessPool: ")
+        assert err.startswith("a worker died; seeds without a result: 0, 1: BrokenProcessPool: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_dead_worker_is_not_blamed_on_a_running_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
+        self.fail_seed(monkeypatch, 0, lambda: time.sleep(1))  # still running when seed 1 dies
+        self.fail_seed(monkeypatch, 1, lambda: os._exit(1))
+        out = tmp_path / "out"
+        assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("a worker died; seeds without a result: 0, 1: BrokenProcessPool: ")
         assert err.count("\n") == 1
         assert not out.exists()
 
