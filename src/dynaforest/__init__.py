@@ -18,7 +18,7 @@ from .model import (
 from .engine import initial_configuration, iter_run, run_round
 from .protocol import initial_state, node_rng, node_step
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Action",

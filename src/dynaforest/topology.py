@@ -43,8 +43,12 @@ class EdgeMarkovParams:
     """Independent per-edge birth/death chain.
 
     An absent edge appears next round with probability p_birth; a present one
-    disappears with probability p_death.  The long-run density is
-    p_birth / (p_birth + p_death).
+    disappears with probability p_death, each round independently.  So a
+    pair holds a state it leaves with probability p for more than t rounds
+    with probability (1 - p)^t, and the long-run density is
+    p_birth / (p_birth + p_death).  `seed` fixes the edge sets through the
+    draw order that `_MarkovSchedule` states; since version 0.2.0 each pair
+    draws one uniform per flip instead of one per round.
     """
 
     n: int
@@ -87,54 +91,90 @@ def scripted(vertices: Iterable, schedule: Sequence[EdgeSet]) -> EvolvingGraph:
     )
 
 
+def stay_log(p: float) -> float:
+    """log1p(-p): the log of the chance per round to keep a state that is
+    left with probability p; -inf at p == 1."""
+    return -math.inf if p == 1.0 else math.log1p(-p)
+
+
+def holding_times(u: np.ndarray, log_stay) -> np.ndarray:
+    """Rounds a pair stays in a state it leaves with probability p per round.
+
+    Inverts the geometric law P(k > t) = (1 - p)^t at the uniforms u in
+    [0, 1): k = floor(log1p(-u) / log_stay) + 1, where log_stay is
+    `stay_log(p)`, a float or an array shaped like u.  The result is
+    float64: where p == 0 (log_stay == 0) the state is never left and k is
+    inf, without a division; p == 1 (log_stay == -inf) gives k == 1; and a
+    holding time too long for int64 (p below about 1e-18) stays a huge
+    float, or inf, instead of wrapping.
+    """
+    k = np.full(np.shape(u), np.inf)
+    with np.errstate(over="ignore"):  # p near 5e-324: the ratio overflows to inf
+        np.divide(np.log1p(-u), log_stay, out=k, where=log_stay < 0.0)
+    np.floor(k, out=k)
+    k += 1.0
+    return k
+
+
 class _MarkovSchedule:
-    """Sequential two-state chain over all node pairs, numpy-vectorized.
+    """Two-state chain over all node pairs, advanced flip by flip.
 
-    Each round draws one uniform number per pair.  A present pair dies when
-    its draw is below p_death, an absent one is born when its draw is below
-    p_birth: a pair flips exactly when its draw is below its threshold,
-    `where(present, p_death, p_birth)`.  So the chain advances by a flip
-    mask, `present ^= draws < threshold`, which makes the same draws and the
-    same comparisons as computing the next presence pair by pair, and gives
-    the same E_i.  The threshold changes only with the present set, so it is
-    recomputed only after a round with a flip; a quiet round costs the draws,
-    one comparison and a test for any flip.
+    Each pair keeps the round of its next flip.  All pairs start absent
+    before round 1.  The first query draws one uniform per pair, in pair
+    order ((1, 2), (1, 3), ..., (n-1, n)), and turns each into the pair's
+    first holding time with `holding_times(u, stay_log(p_birth))`.  At a
+    round where some pairs are due, they flip, then draw one uniform each,
+    in pair order, and hold for `holding_times(u, stay_log(p))` more
+    rounds, p being p_death for a pair now present and p_birth for one now
+    absent.  Holding times are geometric, P(a pair holds > t rounds) =
+    (1 - p)^t, the law of the per-round chain in `EdgeMarkovParams`, so a
+    query runs only through rounds where some pair is due, and a quiet
+    round costs one comparison with the earliest due round.  The holding
+    time inverts `Generator.random` doubles rather than calling
+    `Generator.geometric`, whose algorithm numpy does not promise to keep
+    across versions.  Due rounds are float64: exact below 2^53 rounds, inf
+    for a state that is never left.
 
-    Forward queries advance the chain; a backward query replays from round
-    one, so any access order yields the same deterministic schedule.  While
-    no pair flips, queries return the same `frozenset` object, so callers
-    can tell an unchanged E_i by identity.
+    Construction draws nothing.  Forward queries advance the chain; a
+    backward query replays from round one, so any access order yields the
+    same deterministic schedule.  While no pair flips, queries return the
+    same `frozenset` object, so callers can tell an unchanged E_i by
+    identity.
     """
 
     def __init__(self, params: EdgeMarkovParams):
         self._params = params
         iu, jv = np.triu_indices(params.n, k=1)
         self._pairs = list(zip((iu + 1).tolist(), (jv + 1).tolist()))
-        self._reset()
+        self._round = None  # no query yet: no generator, nothing drawn
 
-    def _reset(self):
-        self._rng = np.random.Generator(np.random.PCG64(self._params.seed))
+    def _start(self):
+        p = self._params
+        self._rng = np.random.Generator(np.random.PCG64(p.seed))
         self._present = np.zeros(len(self._pairs), dtype=bool)
-        self._threshold = np.full(len(self._pairs), self._params.p_birth)
+        self._stay = (stay_log(p.p_birth), stay_log(p.p_death))  # absent, present
+        self._due = holding_times(self._rng.random(len(self._pairs)), self._stay[0])
+        self._next = float(self._due.min()) if len(self._pairs) else math.inf
         self._round = 0
         self._cached: Optional[EdgeSet] = None  # None: stale, rebuild on the next query
 
-    def _advance(self):
-        flips = self._rng.random(len(self._pairs)) < self._threshold
-        if flips.any():
-            self._present ^= flips
-            p = self._params
-            self._threshold = np.where(self._present, p.p_death, p.p_birth)
-            self._cached = None
-        self._round += 1
+    def _flip(self, r):
+        """Flip the pairs due in round r and draw their next flip rounds."""
+        hits = np.flatnonzero(self._due == r)
+        now = self._present[hits] = ~self._present[hits]
+        stay = np.where(now, self._stay[1], self._stay[0])
+        self._due[hits] = holding_times(self._rng.random(len(hits)), stay) + r
+        self._next = float(self._due.min())
+        self._cached = None
 
     def __call__(self, i: int) -> EdgeSet:
         if i < 1:
             raise ValueError(f"round index must be >= 1, got {i}")
-        if i < self._round:
-            self._reset()
-        while self._round < i:
-            self._advance()
+        if self._round is None or i < self._round:
+            self._start()
+        while self._next <= i:
+            self._flip(self._next)
+        self._round = i
         if self._cached is None:
             present = np.flatnonzero(self._present).tolist()
             self._cached = frozenset(map(self._pairs.__getitem__, present))

@@ -4,6 +4,12 @@ The sha256 of every trace and CSV from one small lazy `cli run`, of the
 `replay-figure fig2` table, and of the checkers' verdicts on a seeded corpus
 of corrupted configurations are pinned here.  A refactor that is meant to
 keep outputs byte-identical must keep these hashes.
+
+The run and the corpus use the edge-Markov adversary.  Its 0.1.0 hashes,
+from the chain that draws one uniform per pair per round, stay pinned
+against `per_round_chain`: with that chain in place of
+`topology.edge_markov`, every other part of the program must still give
+them.
 """
 
 import dataclasses
@@ -17,6 +23,7 @@ from dynaforest import cli, engine, topology
 from dynaforest.analysis import ViolationKind, run_all_checks
 from dynaforest.cli import main, read_trace_file
 from dynaforest.model import Configuration, Status
+from per_round_chain import per_round_edge_markov
 
 RUN_ARGS = [
     "run", "--adversary", "edge-markov", "--nodes", "12", "--p-birth", "0.3",
@@ -25,6 +32,23 @@ RUN_ARGS = [
 ]
 
 RUN_HASHES = {
+    "aggregate.csv":
+        "897e3df068008529611404c4bdaedd2bf925764038b6b5c9bb880e18c42c068d",
+    "metrics_seed0.csv":
+        "7ba5b882cc03a527f7f50577b40f93b408ae9038c657df456f023f109db563c9",
+    "metrics_seed1.csv":
+        "b0fdb2655eb3567d9fdd0e8b7843cc023bdf402abce112ab6f6e61da36bdc9ea",
+    "metrics_seed2.csv":
+        "47cfb28099817e279a8b1d156e93eaa0e5fae9aea9ec2452c4e67a45c8abaab4",
+    "trace_seed0.txt":
+        "0ef5d3db0c1bdac4bb9336e8834e726adc57daa701082563db4ff64097779d9a",
+    "trace_seed1.txt":
+        "b4cf90c173196b72e60eb904bc8695de450efa9ea56a249327637317fe6e1bd7",
+    "trace_seed2.txt":
+        "8b8a60c7a5cc43be0069c2962a00e4baa0ea68736b7415158cd8f0fad6f72e91",
+}
+
+PER_ROUND_RUN_HASHES = {
     "aggregate.csv":
         "e023699b44a3cefca8f67782c8fab9cfbd538c341d16cc6c18420396a7606d24",
     "metrics_seed0.csv":
@@ -48,11 +72,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_cli_run_outputs_are_byte_identical(tmp_path, monkeypatch):
+def run_hashes(out, monkeypatch) -> dict:
     monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
-    assert main([*RUN_ARGS, "--out", str(tmp_path)]) == 0
-    hashes = {name: sha256((tmp_path / name).read_bytes()) for name in RUN_HASHES}
-    assert hashes == RUN_HASHES
+    assert main([*RUN_ARGS, "--out", str(out)]) == 0
+    return {name: sha256((out / name).read_bytes()) for name in RUN_HASHES}
+
+
+def test_cli_run_outputs_are_byte_identical(tmp_path, monkeypatch):
+    assert run_hashes(tmp_path, monkeypatch) == RUN_HASHES
 
 
 def test_replay_fig2_output_is_byte_identical(capsys):
@@ -63,7 +90,8 @@ def test_replay_fig2_output_is_byte_identical(capsys):
 # ---------------------------------------------------------------------------
 # checker verdicts on corrupted engine configurations
 
-CHECKS_HASH = "80f4e6dca46e7e5fde70bd70a130315dd7c74c232945b8d64bacd60e08f13231"
+CHECKS_HASH = "6d74b2b057ca5b74f5de045b868f1752971a73d8127f6ab299eaa7c73cbbfd16"
+PER_ROUND_CHECKS_HASH = "80f4e6dca46e7e5fde70bd70a130315dd7c74c232945b8d64bacd60e08f13231"
 CHECKS_CONFIGURATIONS = 2400
 
 
@@ -156,7 +184,7 @@ def corrupted_configurations():
             yield Configuration(round=i, states=states), frozenset(edge_list)
 
 
-def test_checker_output_on_corrupted_configurations_is_byte_identical():
+def checker_output_hash() -> str:
     lines, kinds, clean = [], Counter(), 0
     for k, (config, edges) in enumerate(corrupted_configurations()):
         violations = run_all_checks(config, edges)
@@ -167,7 +195,18 @@ def test_checker_output_on_corrupted_configurations_is_byte_identical():
     assert k + 1 == CHECKS_CONFIGURATIONS
     assert set(kinds) == set(ViolationKind)  # every checker fires somewhere
     assert 0 < clean < CHECKS_CONFIGURATIONS
-    assert sha256("\n".join(lines).encode()) == CHECKS_HASH
+    return sha256("\n".join(lines).encode())
+
+
+def test_checker_output_on_corrupted_configurations_is_byte_identical():
+    assert checker_output_hash() == CHECKS_HASH
+
+
+def test_only_the_edge_markov_schedule_moved(tmp_path, monkeypatch):
+    # with the 0.1.0 chain back in place, the run and the corpus read as in 0.1.0
+    monkeypatch.setattr(topology, "edge_markov", per_round_edge_markov)
+    assert run_hashes(tmp_path, monkeypatch) == PER_ROUND_RUN_HASHES
+    assert checker_output_hash() == PER_ROUND_CHECKS_HASH
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,50 @@ from dynaforest.topology import (
     read_contact_file,
     scripted,
 )
+from per_round_chain import per_round_edge_markov
+
+
+def per_pair_event_loop(n, p_birth, p_death, seed, rounds):
+    """E_1..E_rounds of the edge-Markov chain, by its draw order, pair by pair."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    present = dict.fromkeys(pairs, False)
+    stay = {False: topology.stay_log(p_birth), True: topology.stay_log(p_death)}
+    due = {pair: float(topology.holding_times(rng.random(), stay[False])) for pair in pairs}
+    sets = []
+    for r in range(1, rounds + 1):
+        for pair in pairs:
+            if due[pair] == r:
+                present[pair] = not present[pair]
+                due[pair] = r + float(topology.holding_times(rng.random(), stay[present[pair]]))
+        sets.append(frozenset(pair for pair in pairs if present[pair]))
+    return sets
+
+
+def flip_statistics(graph, n, rounds):
+    """Per state (present or not): ((flip frequency, its standard error),
+    (mean completed holding time, its standard error)) over rounds 1..rounds."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    states = np.zeros((rounds + 1, len(pairs)), dtype=bool)  # round 0: empty
+    for i in range(1, rounds + 1):
+        edges = graph.schedule(i)
+        states[i] = [pair in edges for pair in pairs]
+    flips = states[1:] != states[:-1]
+    held = {False: [], True: []}
+    for k in range(len(pairs)):
+        rounds_of_flips = np.concatenate([[0], np.flatnonzero(flips[:, k]) + 1])
+        for start, length in zip(rounds_of_flips, np.diff(rounds_of_flips)):
+            held[bool(states[start, k])].append(length)
+    stats = {}
+    for state in (False, True):
+        exposed = states[:-1] == state
+        f = flips[exposed].mean()
+        h = np.array(held[state], dtype=float)
+        stats[state] = (
+            (f, math.sqrt(f * (1 - f) / exposed.sum())),
+            (h.mean(), h.std(ddof=1) / math.sqrt(len(h))),
+        )
+    return stats
 
 
 class TestScripted:
@@ -95,21 +141,71 @@ class TestEdgeMarkov:
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 80), min_size=1, max_size=12),
     )
-    def test_flip_mask_advance_matches_pairwise_chain(self, n, p_birth, p_death, seed, queries):
-        # the chain computed pair by pair: each pair's next presence from its draw
-        rng = np.random.Generator(np.random.PCG64(seed))
-        iu, jv = np.triu_indices(n, k=1)
-        pairs = list(zip((iu + 1).tolist(), (jv + 1).tolist()))
-        present = rng.random(len(pairs)) < p_birth
-        expected = []
-        for _ in range(80):
-            expected.append(frozenset(pairs[k] for k in np.flatnonzero(present)))
-            draws = rng.random(len(pairs))
-            present = np.where(present, draws >= p_death, draws < p_birth)
+    def test_event_chain_matches_per_pair_event_loop(self, n, p_birth, p_death, seed, queries):
+        expected = per_pair_event_loop(n, p_birth, p_death, seed, 80)
         graph = edge_markov(EdgeMarkovParams(n=n, p_birth=p_birth, p_death=p_death, seed=seed))
         # forward, repeated and backward queries, in the drawn order
         for i in queries + queries[::-1] + list(range(1, 81)):
             assert graph.schedule(i) == expected[i - 1], f"round {i}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flip_law_matches_per_round_chain(self, seed):
+        # per state: how often a pair leaves it per round, and how long it stays
+        params = EdgeMarkovParams(n=10, p_birth=0.2, p_death=0.5, seed=seed)
+        event = flip_statistics(edge_markov(params), params.n, 4000)
+        reference = flip_statistics(per_round_edge_markov(params), params.n, 4000)
+        for state in (False, True):
+            for (a, se_a), (b, se_b) in zip(event[state], reference[state]):
+                assert abs(a - b) <= 5 * math.hypot(se_a, se_b), (state, a, b)
+
+    def test_single_node_has_no_pairs(self):
+        graph = edge_markov(EdgeMarkovParams(n=1, p_birth=0.5, p_death=0.5, seed=0))
+        assert [graph.schedule(i) for i in (1, 2, 7, 3)] == [frozenset()] * 4
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-18, 1e-300, 5e-324, 0.3])
+    def test_holding_times_edge_probabilities(self, p):
+        u = np.array([0.0, 0.25, 0.5, 1 - 2**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = topology.holding_times(u, topology.stay_log(p))
+        if p == 0.0:
+            assert np.all(k == np.inf)  # never left
+        elif p == 1.0:
+            assert np.all(k == 1.0)  # left every round
+        else:
+            # whole rounds >= 1, non-decreasing in u, and never wrapped below 1
+            assert k[0] == 1.0 and np.all(k[1:] >= k[:-1])
+            assert np.all((k == np.floor(k)) | (k == np.inf))
+        if 0.0 < p <= 1e-18:
+            assert k[-1] > 2.0**63  # past int64: saturated, not wrapped
+
+    def test_p_one_flips_every_round(self):
+        n = 5
+        complete = frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        graph = edge_markov(EdgeMarkovParams(n=n, p_birth=1.0, p_death=1.0, seed=4))
+        assert [graph.schedule(i) for i in range(1, 9)] == [complete, frozenset()] * 4
+
+    def test_tiny_birth_probability_never_wraps(self):
+        graph = edge_markov(EdgeMarkovParams(n=6, p_birth=1e-300, p_death=0.5, seed=5))
+        for i in (1, 2, 1000, 2**62, 2**63 + 5, 2**70):
+            assert graph.schedule(i) == frozenset(), f"round {i}"
+
+    @pytest.mark.parametrize("p_birth", [0.0, 1.0])
+    @pytest.mark.parametrize("p_death", [0.0, 1.0])
+    def test_p_zero_and_one_give_the_per_round_edge_sets(self, p_birth, p_death):
+        params = EdgeMarkovParams(n=5, p_birth=p_birth, p_death=p_death, seed=9)
+        graph, reference = edge_markov(params), per_round_edge_markov(params)
+        for i in list(range(1, 21)) + [3, 20, 1]:
+            assert graph.schedule(i) == reference.schedule(i), f"round {i}"
+
+    def test_construction_draws_nothing(self, monkeypatch):
+        made = []
+        real = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator", lambda bits: made.append(bits) or real(bits))
+        graph = edge_markov(EdgeMarkovParams(n=30, p_birth=0.1, p_death=0.1, seed=2))
+        assert made == []
+        graph.schedule(1)
+        assert len(made) == 1
 
     def test_long_run_density_matches_stationary_law(self):
         # two-state chain: stationary presence = p_birth / (p_birth + p_death)
