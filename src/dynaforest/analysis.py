@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .model import Configuration, EdgeSet, Status
+from .model import Configuration, EdgeSet, Status, foreign_endpoint
 
 
 # Enum members read in per-node loops, bound once.  On CPython 3.11 a lookup
@@ -298,31 +298,29 @@ def component_count(vertices: Iterable, edges: EdgeSet) -> int:
     walk stops at the first edge that leaves V a single component.
 
     Precondition: every edge endpoint lies in V.  A foreign endpoint met
-    before the stop raises ValueError naming it; the edges after the stop
-    are not looked at.  `iter_run` guarantees the precondition, because
-    `run_round` raises EngineError naming the first foreign endpoint before
-    the metrics see that E_i.  Checking the rest of the edges again would
-    cost 300-330 us instead of 80-90 us per round of a churny 100-node
+    before the stop raises ValueError with `model.foreign_endpoint`'s text;
+    the edges after the stop are not looked at.  `iter_run` guarantees the
+    precondition, because `run_round` raises EngineError with that text
+    before the metrics see that E_i.  Checking the rest of the edges again
+    would cost 300-330 us instead of 80-90 us per round of a churny 100-node
     edge-Markov run, which is one component with about 2460 edges (CPython
     3.11, 2 shared vCPUs).
     """
     leader = {u: u for u in vertices}
     count = len(leader)
-    for u, v in edges:
-        try:
+    try:
+        for u, v in edges:
             while (up := leader[u]) != u:  # path halving
                 leader[u] = u = leader[up]
             while (vp := leader[v]) != v:
                 leader[v] = v = leader[vp]
-        except KeyError as exc:
-            raise ValueError(
-                f"edge endpoint {exc.args[0]} is not in the vertex set"
-            ) from None
-        if u != v:
-            leader[u] = v
-            count -= 1
-            if count == 1:
-                break
+            if u != v:
+                leader[u] = v
+                count -= 1
+                if count == 1:
+                    break
+    except KeyError:
+        raise ValueError(foreign_endpoint(leader, edges)) from None
     return count
 
 

@@ -14,8 +14,11 @@ and each line is parsed as that flag: `p-birth=0.3` as `--p-birth=0.3`,
 `seeds=0-99` as `--seeds=0-99`.  A boolean flag's key takes 1/0, true/false,
 yes/no or on/off: `lazy=true` is `--lazy`, `lazy=false` is `--no-lazy`, and
 `no-checkers=true` is `--no-checkers`.  Flags on the command line win over
-the file.  Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config
-error, 3 invariant violation.
+the file.  Exit codes: 0 success; 1 an input that cannot be read, an output
+that cannot be written (files written before it stay), a seed that raised, a
+dead worker, or a trace that `check` cannot parse; 2 a bad flag or value, or
+bad content in a config, contact or script file; 3 an invariant violation.
+Only `main` reports a file that cannot be opened, read or written (`I/O error`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import analysis, engine, topology
+from . import analysis, engine, model, topology
 from .model import Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
 from .protocol import LAZY_REST_PROBABILITY
 
@@ -89,11 +92,8 @@ class RunConfig:
         repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} given twice")
-        if self.adversary == "trace":
-            if not self.trace_file:
-                raise ConfigError("the trace adversary needs --trace-file")
-            if not os.path.isfile(self.trace_file):
-                raise ConfigError(f"trace file {self.trace_file!r} is not readable")
+        if self.adversary == "trace" and not self.trace_file:
+            raise ConfigError("the trace adversary needs --trace-file")
         if self.adversary == "scripted" and not self.script_file:
             raise ConfigError("the scripted adversary needs --script-file")
         if self.adversary != "trace" and self.rounds < 1:
@@ -261,10 +261,10 @@ def read_script_file(path) -> list:
 def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
     """The adversary's evolving graph for `seed`.
 
-    A contact or script file that cannot be read as one, or a contact trace
-    that covers no round, is a ConfigError.  `cmd_run` builds one graph
-    before any worker starts, so a bad file is reported once, as a usage
-    error, instead of raised in every worker.
+    A contact or script file whose content cannot be read as one, or a
+    contact trace that covers no round, is a ConfigError; a file that cannot
+    be opened raises OSError.  `cmd_run` builds one graph before any worker
+    starts, so a bad file is reported once instead of raised in every worker.
     """
     if config.adversary == "edge-markov":
         return topology.edge_markov(
@@ -401,6 +401,8 @@ def _parse_header(lines: list) -> frozenset:
     """The vertex set named by a trace's first five lines."""
     if not lines or lines[0] != TRACE_MAGIC:
         raise TraceFormatError(f"not a {TRACE_MAGIC!r} file")
+    if len(lines) < 5:
+        raise TraceFormatError(f"header cut short after line {len(lines)} of 5")
     try:
         vertices = frozenset(int(v) for v in lines[1].split()[1:])
         seed = int(lines[2].split()[1])
@@ -438,13 +440,9 @@ def read_trace_file(path) -> Iterator[tuple]:
                         edges = _parse_edges_token_line(text)
                     except ValueError as exc:
                         raise TraceFormatError(f"line {lineno}: {exc}") from None
-                    foreign = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
-                    if foreign:
-                        u, v = min(foreign)
-                        raise TraceFormatError(
-                            f"line {lineno}: edge {{{u},{v}}} endpoint "
-                            f"{u if u not in vertices else v} is not in the vertex set"
-                        )
+                    stray = model.foreign_endpoint(vertices, edges)
+                    if stray:
+                        raise TraceFormatError(f"line {lineno}: {stray}")
                     last_edge_text = text
                 node_lineno, node_text = next(lines, (None, None))
                 if node_text is None:
@@ -468,6 +466,8 @@ def read_trace_file(path) -> Iterator[tuple]:
                         "(tuples in ascending id order, children ascending)"
                     )
                 yield round_index, edges, config
+            if edges is None:  # `run` never writes a trace of zero rounds
+                raise TraceFormatError("no round after the header")
         except (TraceFormatError, UnicodeDecodeError) as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
 
@@ -628,14 +628,11 @@ def cmd_run(config: RunConfig) -> int:
     mean_overall = sum(r.summary.mean_trees_per_component for r in results) / len(results)
     print(f"{len(results)} seeds x {rounds} rounds: mean trees/component {mean_overall:.4f}")
 
-    try:
-        per_round = [
-            sum(r.summary.per_round[i].ratio for r in results) / len(results)
-            for i in range(rounds)
-        ]
-        (out_dir / "trees_per_component.svg").write_text(render_mean_ratio_svg(per_round))
-    except Exception as exc:  # plot failures never affect the simulation outcome
-        print(f"plot generation failed: {exc}", file=sys.stderr)
+    per_round = [
+        sum(r.summary.per_round[i].ratio for r in results) / len(results)
+        for i in range(rounds)
+    ]
+    (out_dir / "trees_per_component.svg").write_text(render_mean_ratio_svg(per_round))
     return EXIT_OK
 
 
@@ -650,9 +647,6 @@ def cmd_check(path) -> int:
             violations += analysis.run_all_checks(config, edges)
     except TraceFormatError as exc:
         print(f"cannot parse trace: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
     for v in violations:

@@ -149,21 +149,29 @@ def make_edge_set(pairs: Iterable) -> EdgeSet:
     return frozenset(make_edge(u, v) for u, v in pairs)
 
 
+def foreign_endpoint(vertices, edges: Iterable) -> Optional[str]:
+    """The report of the smallest edge with an endpoint outside `vertices`
+    (anything that supports `in`), naming that endpoint, or None.  Every
+    reader of an edge set gives a stray endpoint this text after its prefix."""
+    stray = [(u, v) for u, v in edges if u not in vertices or v not in vertices]
+    if not stray:
+        return None
+    u, v = min(stray)
+    return f"edge {{{u},{v}}} endpoint {u if u not in vertices else v} is not in the vertex set"
+
+
 def adjacency(vertices: Iterable, edges: EdgeSet) -> dict:
     """Each vertex's neighbour set in `edges`, in one pass over the edges.
 
-    Raises ValueError naming the first endpoint outside `vertices`.
+    A stray endpoint raises ValueError with `foreign_endpoint`'s text.
     """
     neighbours = {u: set() for u in vertices}
-    for u, v in edges:
-        try:
+    try:
+        for u, v in edges:
             neighbours[u].add(v)
             neighbours[v].add(u)
-        except KeyError:
-            missing = u if u not in neighbours else v
-            raise ValueError(
-                f"edge {{{u},{v}}} endpoint {missing} is not in the vertex set"
-            ) from None
+    except KeyError:
+        raise ValueError(foreign_endpoint(neighbours, edges)) from None
     return neighbours
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import EdgeSet, EvolvingGraph, NodeId, make_edge, make_edge_set
+from .model import EdgeSet, EvolvingGraph, NodeId, foreign_endpoint, make_edge, make_edge_set
 
 Rational = Union[int, float, Fraction, str]
 
@@ -65,16 +65,15 @@ class EdgeMarkovParams:
 
 
 def scripted(vertices: Iterable, schedule: Sequence[EdgeSet]) -> EvolvingGraph:
-    """Fixed schedule; past its end the last edge set repeats forever."""
+    """Fixed schedule; past its end the last edge set repeats forever.  A
+    stray endpoint in entry k (from 0) raises ValueError: `schedule entry k: `
+    and `model.foreign_endpoint`'s text."""
     vertex_set = frozenset(vertices)
     script = [make_edge_set(es) for es in schedule]
     for idx, edges in enumerate(script):
-        for u, v in edges:
-            if u not in vertex_set or v not in vertex_set:
-                raise ValueError(
-                    f"schedule entry {idx}: edge {{{u},{v}}} has an endpoint "
-                    f"outside the vertex set"
-                )
+        stray = foreign_endpoint(vertex_set, edges)
+        if stray:
+            raise ValueError(f"schedule entry {idx}: {stray}")
     empty = frozenset()
 
     def produce(i: int) -> EdgeSet:

@@ -64,6 +64,10 @@ RUN_OPTION_VALUES = {
 }
 
 
+# the files of a one-seed `run`, in the order it writes them
+WRITE_ORDER = ["metrics_seed0.csv", "trace_seed0.txt", "aggregate.csv", "trees_per_component.svg"]
+
+
 class TestConfigParsing:
     def test_seeds_forms(self):
         assert parse_seeds("0-3") == (0, 1, 2, 3)
@@ -75,6 +79,8 @@ class TestConfigParsing:
             parse_seeds("7-3")
         with pytest.raises(ConfigError):
             parse_seeds("x")
+        with pytest.raises(ConfigError, match="bad seed range '5-x'"):
+            parse_seeds("5-x")
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -144,6 +150,40 @@ class TestConfigParsing:
         cfg.write_text(f"lazy={text}\n")
         args = build_arg_parser().parse_args(["run", "--config", str(cfg)])
         assert build_run_config(args).lazy is lazy
+
+    def test_config_line_without_equals_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=4\nrounds 7\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: line 2: expected key=value, got 'rounds 7'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nodes", "0"], "nodes must be >= 1, got 0"),
+            (["--rounds", "0"], "rounds must be >= 1, got 0"),
+            (["--adversary", "scripted"], "the scripted adversary needs --script-file"),
+        ],
+        ids=["zero-nodes", "zero-rounds", "scripted-without-script"],
+    )
+    def test_bad_run_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(run_args(*flags, "--out", str(out))) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_non_integer_worker_cap_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "abc")
+        out = tmp_path / "out"
+        assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: DYNAFOREST_WORKERS='abc' is not an integer\n"
+        )
+        assert not out.exists()
 
     def test_bad_boolean_names_the_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -348,7 +388,7 @@ class TestCmdRun:
     ):
         contacts = tmp_path / "contacts.txt"
         contacts.write_text(f"1 2 0 5\n{record}\n")
-        err = self.assert_config_error_before_fan_out(
+        err = self.assert_fails_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "trace", "--trace-file", str(contacts)],
         )
@@ -360,7 +400,7 @@ class TestCmdRun:
     ):
         script = tmp_path / "script.txt"
         script.write_text(f"1-2\n{line}\n")
-        err = self.assert_config_error_before_fan_out(
+        err = self.assert_fails_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "scripted", "--script-file", str(script), "--nodes", "3"],
         )
@@ -369,14 +409,46 @@ class TestCmdRun:
     def test_contact_file_without_rounds_fails_before_fan_out(self, tmp_path, monkeypatch, capsys):
         contacts = tmp_path / "contacts.txt"
         contacts.write_text("# a b start end\n\n# no contact at all\n")
-        err = self.assert_config_error_before_fan_out(
+        err = self.assert_fails_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "trace", "--trace-file", str(contacts)],
         )
         assert err == "config error: contact trace defines no rounds (no usable contacts)\n"
 
-    def assert_config_error_before_fan_out(self, tmp_path, monkeypatch, capsys, adversary):
-        """Run two seeds on two workers; return the config error's stderr."""
+    def test_zero_round_rate_fails_before_fan_out(self, tmp_path, monkeypatch, capsys):
+        contacts = tmp_path / "contacts.txt"
+        contacts.write_text("1 2 0 5\n")
+        err = self.assert_fails_before_fan_out(
+            tmp_path, monkeypatch, capsys,
+            ["--adversary", "trace", "--trace-file", str(contacts), "--rounds-per-second", "0"],
+        )
+        assert err == "config error: rounds_per_second must be positive, got 0\n"
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "adversary, option",
+        [(["--adversary", "trace"], "--trace-file"),
+         (["--adversary", "scripted"], "--script-file"),
+         ([], "--config")],
+        ids=["trace-file", "script-file", "config"],
+    )
+    def test_unreadable_input_fails_before_fan_out(
+        self, tmp_path, monkeypatch, capsys, adversary, option, unreadable
+    ):
+        path = tmp_path / "input"
+        if unreadable == "directory":
+            path.mkdir()
+        err = self.assert_fails_before_fan_out(
+            tmp_path, monkeypatch, capsys, [*adversary, option, str(path)],
+            code=cli.EXIT_FAILURE, prefix="I/O error: ",
+        )
+        assert err.endswith(f": {str(path)!r}\n")
+
+    def assert_fails_before_fan_out(
+        self, tmp_path, monkeypatch, capsys, adversary,
+        code=cli.EXIT_USAGE, prefix="config error: ",
+    ):
+        """Run two seeds on two workers; return the one-line error on stderr."""
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
@@ -385,11 +457,23 @@ class TestCmdRun:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
         rc = main(["run", *adversary, "--rounds", "5", "--seeds", "0-1", "--out", str(out)])
-        assert rc == cli.EXIT_USAGE
+        assert rc == code
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
         assert not out.exists()
         return err
+
+    @pytest.mark.parametrize("blocked", WRITE_ORDER)
+    def test_unwritable_output_is_an_io_error(self, tmp_path, monkeypatch, capsys, blocked):
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(run_args("--seeds", "0", "--out", str(out))) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.endswith(f": {str(out / blocked)!r}\n")
+        for name in WRITE_ORDER[: WRITE_ORDER.index(blocked)]:  # the files written before stay
+            assert (out / name).is_file(), name
 
 
 class ForkPool(ProcessPoolExecutor):
@@ -551,6 +635,20 @@ class TestCmdCheck:
         assert err.startswith("cannot parse trace: ")
         assert "line 6: edge {4,99} endpoint 99 is not in the vertex set" in err
 
+    def test_node_tuple_with_four_fields_is_a_parse_error(self, tmp_path, capsys):
+        def edit(edges, nodes):
+            first, *rest = nodes.split()
+            return edges, " ".join([first.rsplit(":", 1)[0], *rest])
+
+        tampered = self.tampered_round_1(tmp_path, edit)
+        first = tampered.read_text().splitlines()[6].split()[0]
+        assert first.count(":") == 3
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"cannot parse trace: {tampered}: line 7: bad node tuple {first!r}\n"
+        )
+
     def test_node_listed_twice_is_a_parse_error(self, tmp_path, capsys):
         tampered = self.tampered_round_1(
             tmp_path, lambda edges, nodes: (edges, f"{nodes} {nodes.split()[0]}")
@@ -632,6 +730,23 @@ class TestCmdCheck:
             f"cannot parse trace: {cut}: line {len(lines) - 1}: round 40 has no node line\n"
         )
 
+    @pytest.mark.parametrize(
+        "kept, message",
+        [(5, "no round after the header"),
+         (3, "header cut short after line 3 of 5"),
+         (1, "header cut short after line 1 of 5")],
+        ids=["header-only", "three-lines", "magic-only"],
+    )
+    def test_trace_cut_at_or_inside_its_header_is_a_parse_error(
+        self, tmp_path, capsys, kept, message
+    ):
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        cut = tmp_path / "cut.txt"
+        cut.write_text("\n".join(lines[:kept]) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(cut)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == f"cannot parse trace: {cut}: {message}\n"
+
     def test_non_utf8_byte_is_a_parse_error(self, tmp_path, capsys):
         data = self.make_trace(tmp_path).read_bytes()
         tampered = tmp_path / "tampered.txt"
@@ -665,6 +780,15 @@ class TestCmdCheck:
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt")]) == cli.EXIT_FAILURE
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_trace_is_an_io_error(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "trace.txt"
+        if unreadable == "directory":
+            path.mkdir()
+        assert main(["check", str(path)]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.endswith(f": {str(path)!r}\n")
 
 
 def _reverse_children(token):
@@ -712,6 +836,21 @@ class TestReplayFigure:
     def test_unknown_scenario(self, capsys):
         assert main(["replay-figure", "fig3"]) == cli.EXIT_USAGE
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_fig2_violation_exits_3(self, monkeypatch, capsys):
+        # a correct engine never violates, so fake the checks to cover the exit
+        from dynaforest.analysis import Violation, ViolationKind
+
+        def fake_checks(config, edges):
+            if config.round < 2:
+                return []
+            return [Violation(config.round, ViolationKind.StateConsistency, "node 1 faked")]
+
+        monkeypatch.setattr(cli.analysis, "run_all_checks", fake_checks)
+        assert main(["replay-figure", "fig2"]) == cli.EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert "round 2" in captured.out and "round 3" not in captured.out
+        assert captured.err == "  VIOLATION round 2: StateConsistency: node 1 faked\n"
 
     def test_fig2_prints_table_and_passes_checks(self, capsys):
         assert main(["replay-figure", "fig2"]) == 0

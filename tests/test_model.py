@@ -1,18 +1,21 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynaforest.model import (
     Action,
     Configuration,
+    EvolvingGraph,
     Message,
     NodeState,
     Status,
     make_edge,
     make_edge_set,
 )
-from dynaforest import analysis, engine, topology
+from dynaforest import analysis, cli, engine, topology
 
 
 def make_state(
@@ -161,3 +164,50 @@ class TestResultingForest:
         children = [child for child, _ in arcs]
         assert len(children) == len(set(children))
         assert analysis.check_correct_forest(config, make_edge_set([(1, 3), (2, 3)])) == []
+
+
+class TestForeignEndpoint:
+    """A stray edge endpoint reads the same wherever an edge set is read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vertices=st.frozensets(st.integers(1, 8), min_size=1),
+        stray=st.tuples(st.integers(1, 12), st.integers(9, 12)).filter(lambda e: e[0] != e[1]),
+        others=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=10),
+        quiet=st.integers(0, 2),
+    )
+    def test_every_reader_gives_the_same_text(self, vertices, stray, others, quiet):
+        edges = make_edge_set(e for e in [stray, *others] if e[0] != e[1])
+        # the reference: the smallest stray edge, and its first endpoint outside V
+        u, v = min(e for e in edges if not set(e) <= vertices)
+        outside = u if u not in vertices else v
+        text = f"edge {{{u},{v}}} endpoint {outside} is not in the vertex set"
+        # `quiet` empty rounds come first, so each prefix counts to the stray round
+        schedule = [frozenset()] * quiet + [edges]
+
+        with pytest.raises(ValueError) as scripted:
+            topology.scripted(vertices, schedule)
+        assert str(scripted.value) == f"schedule entry {quiet}: {text}"
+
+        graph = EvolvingGraph(vertices, lambda i: schedule[i - 1])
+        with pytest.raises(engine.EngineError) as engine_run:
+            for _ in engine.iter_run(graph, quiet + 1, seed=0):
+                pass
+        assert str(engine_run.value) == f"round {quiet + 1}: {text}"
+
+        try:  # the metrics stop at the first edge that leaves V one component
+            assert analysis.component_count(vertices, edges) == 1
+        except ValueError as exc:
+            assert str(exc) == text
+
+        initial = engine.initial_configuration(vertices)
+        lines = cli.trace_header(vertices, 0, False, {})
+        for es in schedule:
+            lines += cli.trace_round_lines(es, initial)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.txt"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(cli.TraceFormatError) as check:
+                for _ in cli.read_trace_file(path):
+                    pass
+        assert str(check.value) == f"{path}: line {6 + 2 * quiet}: {text}"

@@ -76,7 +76,7 @@ class TestScripted:
         assert graph.schedule(3) == frozenset()
 
     def test_endpoint_outside_vertices_rejected(self):
-        with pytest.raises(ValueError, match="outside the vertex set"):
+        with pytest.raises(ValueError, match="is not in the vertex set"):
             scripted([1, 2], [[(1, 3)]])
 
     def test_round_zero_rejected(self):
