@@ -8,11 +8,16 @@ Commands:
                   must be exactly in the form `run` writes them
     replay-figure run a built-in scripted scenario and print its state table
 
-`run --config FILE` reads settings from a file of `key=value` lines; `#`
-starts a comment.  The keys are the `run` long flags without their `--`,
-and each line is parsed as that flag: `p-birth=0.3` as `--p-birth=0.3`,
-`seeds=0-99` as `--seeds=0-99`.  A boolean flag's key takes 1/0, true/false,
-yes/no or on/off: `lazy=true` is `--lazy`, `lazy=false` is `--no-lazy`, and
+Input files (`--config`, `--script-file`, `--trace-file`) are UTF-8; `#`
+starts a comment, and blank lines are skipped (`model.read_lines`).  Bad
+content on a line, a byte that is not UTF-8 included, is `config error:
+<path>: line <n>: ...`, exit code 2, before any output is written.
+
+`run --config FILE` reads settings from a file of `key=value` lines.  The
+keys are the `run` long flags without their `--`, and each line is parsed as
+that flag: `p-birth=0.3` as `--p-birth=0.3`, `seeds=0-99` as
+`--seeds=0-99`.  A boolean flag's key takes 1/0, true/false, yes/no or
+on/off: `lazy=true` is `--lazy`, `lazy=false` is `--no-lazy`, and
 `no-checkers=true` is `--no-checkers`.  Flags on the command line win over
 the file.  Exit codes: 0 success; 1 an input that cannot be read, an output
 that cannot be written (files written before it stay), a seed that raised, a
@@ -37,7 +42,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from . import analysis, engine, model, topology
-from .model import Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
+from .model import _T, Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
 from .protocol import LAZY_REST_PROBABILITY
 
 EXIT_OK = 0
@@ -46,10 +51,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 TRACE_MAGIC = "dynaforest-trace 1"
-
-# Bound once for the per-node trace loop.  On CPython 3.11 a lookup such as
-# `Status.T` costs about 0.17 us, a module global about 0.02 us.
-_T = Status.T
 
 ADVERSARIES = ("scripted", "edge-markov", "trace")
 
@@ -200,22 +201,16 @@ def parse_config_file(path) -> argparse.Namespace:
     parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     options = add_run_options(parser)
     values = argparse.Namespace()
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+
+    def parse(text: str) -> None:
         if "=" not in text:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw.strip()!r}")
+            raise ValueError(f"expected key=value, got {text!r}")
         key, _, value = (part.strip() for part in text.partition("="))
         flag = "--" + key
         action = options.get(flag)
         if action is None:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        bad = ConfigError(f"{path}: line {lineno}: bad value {value!r} for config key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
+        bad = ValueError(f"bad value {value!r} for config key {key!r}")
         if isinstance(action, argparse.BooleanOptionalAction):
             on = _BOOLEANS.get(value.lower())
             if on is None:
@@ -228,6 +223,11 @@ def parse_config_file(path) -> argparse.Namespace:
             parser.parse_args([token], values)
         except argparse.ArgumentError:
             raise bad from None
+
+    try:
+        model.read_lines(path, parse)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return values
 
 
@@ -245,17 +245,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def read_script_file(path) -> list:
     """One line per round: 'u-v u-v ...'; a single '-' means no edges."""
-    schedule = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                schedule.append(_parse_edges_token_line(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return schedule
+    return model.read_lines(path, _parse_edges_token_line)
 
 
 def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
@@ -283,7 +273,7 @@ def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
                 raise ValueError("contact trace defines no rounds (no usable contacts)")
             return graph
         schedule = read_script_file(config.script_file)
-    except ValueError as exc:  # UnicodeDecodeError too
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
     vertices = {v for es in schedule for e in es for v in e}
     vertices |= set(range(1, config.nodes + 1))
@@ -397,25 +387,44 @@ def _parse_nodes_line(text: str, lineno: int, round_index: int, previous: dict) 
     return Configuration(round=round_index, states=states), by_token
 
 
+# `trace_header`'s arguments from header lines 2-5, each read on its own
+_HEADER_FIELDS = (
+    lambda line: frozenset(map(int, line.split()[1:])),
+    lambda line: int(line.partition(" ")[2]),
+    lambda line: bool(int(line.partition(" ")[2])),
+    lambda line: dict(word.split("=", 1) for word in line.split()[1:] if word != "-"),
+)
+
+
 def _parse_header(lines: list) -> frozenset:
     """The vertex set named by a trace's first five lines."""
     if not lines or lines[0] != TRACE_MAGIC:
         raise TraceFormatError(f"not a {TRACE_MAGIC!r} file")
     if len(lines) < 5:
         raise TraceFormatError(f"header cut short after line {len(lines)} of 5")
-    try:
-        vertices = frozenset(int(v) for v in lines[1].split()[1:])
-        seed = int(lines[2].split()[1])
-        lazy = bool(int(lines[3].split()[1]))
-        params = dict(token.split("=", 1) for token in lines[4].split()[1:] if token != "-")
-    except (IndexError, ValueError) as exc:
-        raise TraceFormatError(f"malformed header: {exc}") from None
-    for lineno, (got, want) in enumerate(zip(lines, trace_header(vertices, seed, lazy, params)), 1):
+    values = []
+    for lineno, (line, read) in enumerate(zip(lines[1:], _HEADER_FIELDS), start=2):
+        try:
+            values.append(read(line))
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: malformed header line {line!r}") from None
+    for lineno, (got, want) in enumerate(zip(lines, trace_header(*values)), 1):
         if got != want:
             raise TraceFormatError(
                 f"line {lineno}: header not in canonical form (expected {want!r})"
             )
-    return vertices
+    return values[0]
+
+
+def _numbered_lines(fh) -> Iterator[tuple]:
+    """(line number, text) for each line of a binary file, decoded as UTF-8
+    without its line ending; a byte that is not UTF-8 names its line."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        yield lineno, text.removesuffix("\n").removesuffix("\r")
 
 
 def read_trace_file(path) -> Iterator[tuple]:
@@ -430,8 +439,8 @@ def read_trace_file(path) -> Iterator[tuple]:
     writer = TraceWriter()
     last_edge_text = edges = None
     states_by_token: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate((raw.rstrip("\n") for raw in fh), start=1)
+    with open(path, "rb") as fh:
+        lines = _numbered_lines(fh)
         try:
             vertices = _parse_header([text for _, text in islice(lines, 5)])
             for round_index, (lineno, text) in enumerate(lines, start=1):
@@ -468,7 +477,7 @@ def read_trace_file(path) -> Iterator[tuple]:
                 yield round_index, edges, config
             if edges is None:  # `run` never writes a trace of zero rounds
                 raise TraceFormatError("no round after the header")
-        except (TraceFormatError, UnicodeDecodeError) as exc:
+        except TraceFormatError as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
 
 

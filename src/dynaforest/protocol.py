@@ -54,20 +54,11 @@ import hashlib
 import random
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .model import Action, NodeId, NodeState, Status
+from .model import _FLIP, _HELLO, _N, _SELECT, _T, NodeId, NodeState
 
 # Canonical probability that a root holding the token rests for a round
 # instead of circulating it (the lazy-walk variant).
 LAZY_REST_PROBABILITY = 0.5
-
-# Enum members `node_step` reads on every call, bound once.  On CPython 3.11
-# a lookup such as `Status.T` or `Action.HELLO` costs about 0.17 us, a module
-# global about 0.02 us; a step would otherwise make five lookups.
-_T = Status.T
-_N = Status.N
-_FLIP = Action.FLIP
-_SELECT = Action.SELECT
-_HELLO = Action.HELLO
 
 
 def node_rng(seed: int, node_id: NodeId) -> random.Random:
@@ -84,7 +75,7 @@ def node_rng(seed: int, node_id: NodeId) -> random.Random:
 def initial_state(node_id: NodeId) -> NodeState:
     """Uniform initial state: every node is the root of its own tree."""
     return NodeState(
-        id=node_id, status=Status.T, parent=None, children=frozenset(), score=node_id
+        id=node_id, status=_T, parent=None, children=frozenset(), score=node_id
     )
 
 

@@ -2,10 +2,10 @@
 model, and discretization of real-world contact traces into round-indexed
 edge sets.
 
-Contact-trace files are ASCII lines `a b start end` (ids and seconds,
-whitespace separated, `#` comments).  A contact [start, end) makes the edge
-{a,b} present in every round i whose instant t = i / rounds_per_second
-satisfies start <= t < end.
+A contact-trace file holds one `ContactRecord` `a b start end` per line
+(ids and seconds), read by `model.read_lines`.  A contact [start, end) makes
+the edge {a,b} present in every round i whose instant
+t = i / rounds_per_second satisfies start <= t < end.
 """
 
 from __future__ import annotations
@@ -18,24 +18,33 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import EdgeSet, EvolvingGraph, NodeId, foreign_endpoint, make_edge, make_edge_set
+from .model import (
+    EdgeSet, EvolvingGraph, NodeId, foreign_endpoint, make_edge, make_edge_set, read_lines
+)
 
 Rational = Union[int, float, Fraction, str]
 
 
 @dataclass(frozen=True)
 class ContactRecord:
-    """One contact interval between two nodes, in seconds.
-
-    `line` carries the source line number when the record came from a file,
-    so malformed records can be reported usefully.
-    """
+    """One contact [start, end) between two distinct positive ids, in
+    seconds, with 0 <= start < end; construction rejects any other."""
 
     a: NodeId
     b: NodeId
     start: int
     end: int
-    line: Optional[int] = None
+
+    def __post_init__(self):
+        problem = (
+            "contact endpoints must differ" if self.a == self.b
+            else "contact endpoints must be positive ids" if self.a <= 0 or self.b <= 0
+            else "contact must end after it starts" if self.end <= self.start
+            else "contact cannot start before time 0" if self.start < 0
+            else None
+        )
+        if problem:
+            raise ValueError(f"({self.a}, {self.b}, {self.start}, {self.end}): {problem}")
 
 
 @dataclass(frozen=True)
@@ -201,11 +210,6 @@ def _as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-def _describe(record: ContactRecord) -> str:
-    where = f"line {record.line}" if record.line is not None else "record"
-    return f"{where}: ({record.a}, {record.b}, {record.start}, {record.end})"
-
-
 def parse_contact_trace(
     records: Sequence[ContactRecord], rounds_per_second: Rational
 ) -> EvolvingGraph:
@@ -223,12 +227,6 @@ def parse_contact_trace(
     intervals: dict = {}
     last_round = 0
     for rec in records:
-        if rec.a == rec.b:
-            raise ValueError(f"{_describe(rec)}: contact endpoints must differ")
-        if rec.end <= rec.start:
-            raise ValueError(f"{_describe(rec)}: contact must end after it starts")
-        if rec.start < 0:
-            raise ValueError(f"{_describe(rec)}: contact cannot start before time 0")
         # start <= i/rps < end  <=>  ceil(start*rps) <= i <= ceil(end*rps) - 1
         first = max(1, math.ceil(rec.start * rps))
         last = math.ceil(rec.end * rps) - 1
@@ -289,27 +287,20 @@ def parse_contact_trace(
     )
 
 
+def _parse_contact(text: str) -> ContactRecord:
+    fields = text.split()
+    if len(fields) != 4:
+        raise ValueError(f"expected 'a b start end', got {text!r}")
+    try:
+        a, b, start, end = map(int, fields)
+    except ValueError:
+        raise ValueError(f"non-integer field in {text!r}") from None
+    return ContactRecord(a, b, start, end)
+
+
 def read_contact_file(path) -> list:
-    """Parse a contact-trace file into records, with line-number diagnostics."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            fields = text.split()
-            if len(fields) != 4:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'a b start end', got {raw.strip()!r}"
-                )
-            try:
-                a, b, start, end = (int(f) for f in fields)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-integer field in {raw.strip()!r}"
-                ) from None
-            records.append(ContactRecord(a=a, b=b, start=start, end=end, line=lineno))
-    return records
+    """The records of a contact-trace file, in file order (module docstring)."""
+    return read_lines(path, _parse_contact)
 
 
 def mean_instantaneous_degree(graph: EvolvingGraph, rounds: Optional[int] = None) -> float:

@@ -311,6 +311,10 @@ class TestSummaries:
         assert summary.mean_trees_per_component == 1.0
         assert summary.fraction_optimal_rounds == 1.0
 
+    def test_summary_needs_a_round(self):
+        with pytest.raises(ValueError, match="no rounds observed"):
+            MetricsAccumulator().summary()
+
     def test_alternating_ratio_arithmetic(self):
         acc = MetricsAccumulator()
         acc.per_round = [

@@ -239,8 +239,19 @@ class TestConfigParsing:
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"config error: {cfg}: line 2: 'utf-8' codec can't decode byte 0xff")
         assert not out.exists()
+
+    def test_comments_blank_lines_and_crlf_in_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# a sweep\r\n\r\nnodes = 4  # four\r\n   \r\n#seeds=9\r\nseeds=1-2\r\n")
+        given = {k: v for k, v in vars(cli.parse_config_file(cfg)).items() if v is not None}
+        assert given == {"nodes": 4, "seeds": (1, 2)}
+
+    def test_unknown_adversary_rejected_by_validate(self):
+        # argparse's choices catch it on the command line and in a config file
+        with pytest.raises(ConfigError, match="unknown adversary 'ring'"):
+            RunConfig(adversary="ring").validate()
 
     def test_zero_seeds_is_usage_error(self, capsys):
         rc = main(run_args("--seeds", ","))
@@ -380,31 +391,73 @@ class TestCmdRun:
         assert rounds[5][1] == frozenset({(1, 3)})  # tail repetition
 
 
+    # Each input file reads through one reader: bad content on line 2, a byte
+    # that is not UTF-8 included, is `config error: <path>: line 2: ...`.
     @pytest.mark.parametrize(
-        "record", ["1 x 0 5", "1 1 0 5"], ids=["non-integer", "self-contact"]
+        "record, message",
+        [(b"1 x 0 5", "non-integer field in '1 x 0 5'"),
+         (b"3 3 0 5", "(3, 3, 0, 5): contact endpoints must differ"),
+         (b"1 2 9 5", "(1, 2, 9, 5): contact must end after it starts"),
+         (b"1 2 -1 5", "(1, 2, -1, 5): contact cannot start before time 0"),
+         (b"0 2 0 5", "(0, 2, 0, 5): contact endpoints must be positive ids"),
+         (b"1 2 0", "expected 'a b start end', got '1 2 0'"),
+         (b"1 2 0 \xff", "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte")],
+        ids=["non-integer", "self-contact", "ends-before-start", "negative-start", "zero-id",
+             "three-fields", "not-utf-8"],
     )
     def test_malformed_contact_file_fails_before_fan_out(
-        self, tmp_path, monkeypatch, capsys, record
+        self, tmp_path, monkeypatch, capsys, record, message
     ):
         contacts = tmp_path / "contacts.txt"
-        contacts.write_text(f"1 2 0 5\n{record}\n")
+        contacts.write_bytes(b"1 2 0 5\n" + record + b"  # the bad line\n")
         err = self.assert_fails_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "trace", "--trace-file", str(contacts)],
         )
-        assert "line 2" in err
+        assert err == f"config error: {contacts}: line 2: {message}\n"
 
-    @pytest.mark.parametrize("line", ["1-x", "2-2"], ids=["non-integer", "self-loop"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [(b"1-x", "invalid literal for int() with base 10: 'x'"),
+         (b"2-2", "self-loop {2,2} is not a valid edge"),
+         (b"1-2 12", "bad edge token '12'"),
+         (b"1-\xff", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")],
+        ids=["non-integer", "self-loop", "no-dash", "not-utf-8"],
+    )
     def test_malformed_script_file_fails_before_fan_out(
-        self, tmp_path, monkeypatch, capsys, line
+        self, tmp_path, monkeypatch, capsys, line, message
     ):
         script = tmp_path / "script.txt"
-        script.write_text(f"1-2\n{line}\n")
+        script.write_bytes(b"1-2\n" + line + b"\n")
         err = self.assert_fails_before_fan_out(
             tmp_path, monkeypatch, capsys,
             ["--adversary", "scripted", "--script-file", str(script), "--nodes", "3"],
         )
-        assert "line 2" in err
+        assert err == f"config error: {script}: line 2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [(b"colour=red", "unknown key 'colour'"),
+         (b"rounds=\xff",
+          "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte")],
+        ids=["unknown-key", "not-utf-8"],
+    )
+    def test_malformed_config_file_fails_before_fan_out(
+        self, tmp_path, monkeypatch, capsys, line, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"nodes=4\n" + line + b"\n")
+        err = self.assert_fails_before_fan_out(
+            tmp_path, monkeypatch, capsys, ["--config", str(cfg)]
+        )
+        assert err == f"config error: {cfg}: line 2: {message}\n"
+
+    def test_comments_blank_lines_and_crlf_in_script_file(self, tmp_path):
+        script = tmp_path / "script.txt"
+        script.write_bytes(b"# round 1\r\n1-2 3-2\r\n\r\n  -  # no edges\r\n#2-3\r\n1-3\r\n")
+        assert cli.read_script_file(script) == [
+            frozenset({(1, 2), (2, 3)}), frozenset(), frozenset({(1, 3)})
+        ]
 
     def test_contact_file_without_rounds_fails_before_fan_out(self, tmp_path, monkeypatch, capsys):
         contacts = tmp_path / "contacts.txt"
@@ -754,7 +807,52 @@ class TestCmdCheck:
         capsys.readouterr()
         assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
-        assert err.startswith(f"cannot parse trace: {tampered}: 'utf-8' codec can't decode")
+        lineno = data.count(b"\n")
+        assert err.startswith(
+            f"cannot parse trace: {tampered}: line {lineno}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_crlf_trace_reads_as_its_lf_twin(self, tmp_path):
+        trace = self.make_trace(tmp_path)
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+        assert list(read_trace_file(crlf)) == list(read_trace_file(trace))
+
+    @pytest.mark.parametrize(
+        "lineno, line",
+        [(2, "vertices 1 x 3"), (3, "seed"), (3, "seed 1 2"), (4, "lazy"), (5, "params nodes")],
+        ids=["vertex-not-an-int", "seed-missing", "two-seeds", "lazy-missing",
+             "param-without-value"],
+    )
+    def test_header_line_without_its_value_names_its_line(self, tmp_path, capsys, lineno, line):
+        lines = self.make_trace(tmp_path).read_text().splitlines()
+        lines[lineno - 1] = line
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"cannot parse trace: {tampered}: line {lineno}: malformed header line {line!r}\n"
+        )
+
+    def test_edge_line_that_does_not_parse_is_a_parse_error(self, tmp_path, capsys):
+        tampered = self.tampered_round_1(tmp_path, lambda edges, nodes: ("1-x", nodes))
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"cannot parse trace: {tampered}: line 6: "
+            "invalid literal for int() with base 10: 'x'\n"
+        )
+
+    def test_node_line_without_a_header_vertex_is_a_parse_error(self, tmp_path, capsys):
+        tampered = self.tampered_round_1(
+            tmp_path, lambda edges, nodes: (edges, " ".join(nodes.split()[:-1]))
+        )
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"cannot parse trace: {tampered}: line 7: round 1 nodes do not match the header\n"
+        )
 
     def test_reading_holds_one_round_at_a_time(self, tmp_path):
         lines = cli.run_one_seed(RunConfig(nodes=12, rounds=2000, checkers=False), 0).trace_lines

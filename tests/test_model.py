@@ -105,6 +105,14 @@ class TestNodeStateInvariants:
         with pytest.raises(ValueError):
             Configuration(round=0, states={2: make_state(1)})
 
+    def test_node_id_must_be_positive(self):
+        with pytest.raises(ValueError, match="node id must be positive, got 0"):
+            make_state(0, score=1)
+
+    def test_configuration_round_cannot_be_negative(self):
+        with pytest.raises(ValueError, match="round index cannot be negative"):
+            make_config(-1, [make_state(1)])
+
 
 class TestResultingForest:
     """The pseudoforest a round leaves: parent arcs whose edge is in E_i.

@@ -84,11 +84,25 @@ class TestScripted:
         with pytest.raises(ValueError):
             graph.schedule(0)
 
+    def test_empty_schedule_has_no_edges(self):
+        graph = scripted([1, 2], [])
+        assert graph.params["script_length"] == 0
+        assert graph.schedule(1) == graph.schedule(7) == frozenset()
+
 
 class TestEdgeMarkov:
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
             EdgeMarkovParams(n=5, p_birth=1.2, p_death=0.5, seed=0)
+
+    def test_node_count_validated(self):
+        with pytest.raises(ValueError, match="node count must be >= 1, got 0"):
+            EdgeMarkovParams(n=0, p_birth=0.5, p_death=0.5, seed=0)
+
+    def test_round_zero_rejected(self):
+        graph = edge_markov(EdgeMarkovParams(n=3, p_birth=0.5, p_death=0.5, seed=0))
+        with pytest.raises(ValueError, match="round index must be >= 1, got 0"):
+            graph.schedule(0)
 
     def test_absorbing_empty(self):
         graph = edge_markov(EdgeMarkovParams(n=6, p_birth=0.0, p_death=1.0, seed=1))
@@ -239,17 +253,29 @@ class TestParseContactTrace:
         assert graph.schedule(2) == make_edge_set([(1, 2)])
         assert graph.schedule(3) == frozenset()
 
+    def test_float_rate_reads_as_its_decimal(self):
+        graph = parse_contact_trace([ContactRecord(1, 2, 0, 3)], 0.5)
+        assert graph.params["rounds_per_second"] == "1/2"
+        assert graph.rounds == 2
+
+    def test_round_zero_rejected(self):
+        graph = parse_contact_trace([ContactRecord(1, 2, 0, 10)], 1)
+        with pytest.raises(ValueError, match="round index must be >= 1, got 0"):
+            graph.schedule(0)
+
     def test_empty_records(self):
         graph = parse_contact_trace([], 1)
         assert graph.vertices == frozenset()
         assert graph.schedule(5) == frozenset()
         assert graph.rounds == 0
 
-    def test_malformed_records_rejected_with_location(self):
-        with pytest.raises(ValueError, match="line 7"):
-            parse_contact_trace([ContactRecord(1, 1, 0, 10, line=7)], 1)
-        with pytest.raises(ValueError, match="end after it starts"):
-            parse_contact_trace([ContactRecord(1, 2, 10, 10)], 1)
+    def test_malformed_records_rejected_with_location(self, tmp_path):
+        # a record checks itself at construction; the file reader adds the location
+        path = tmp_path / "contacts.txt"
+        path.write_text("1 2 0 5\n1 1 0 10\n")
+        with pytest.raises(ValueError) as info:
+            read_contact_file(path)
+        assert str(info.value) == f"{path}: line 2: (1, 1, 0, 10): contact endpoints must differ"
 
     def test_vertices_are_all_ids_seen(self):
         records = [ContactRecord(1, 2, 0, 10), ContactRecord(3, 9, 5, 20)]
@@ -323,15 +349,46 @@ class TestParseContactTrace:
             assert graph.schedule(i) == by_definition(i)
 
 
+class TestContactRecord:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [((3, 3, 0, 5), "contact endpoints must differ"),
+         ((0, 2, 0, 5), "contact endpoints must be positive ids"),
+         ((1, -2, 0, 5), "contact endpoints must be positive ids"),
+         ((1, 2, 9, 5), "contact must end after it starts"),
+         ((1, 2, 5, 5), "contact must end after it starts"),
+         ((1, 2, -1, 5), "contact cannot start before time 0")],
+        ids=["self-contact", "zero-id", "negative-id", "ends-before-start", "empty",
+             "negative-start"],
+    )
+    def test_rejects_bad_fields_at_construction(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            ContactRecord(*fields)
+        assert str(info.value) == f"({', '.join(map(str, fields))}): {message}"
+
+    def test_accepts_a_contact_from_time_zero(self):
+        assert ContactRecord(2, 1, 0, 1) == ContactRecord(a=2, b=1, start=0, end=1)
+
+
 class TestContactFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "contacts.txt"
         path.write_text("# demo\n1 2 0 120\n2 3 60 240  # overlap\n\n")
         records = read_contact_file(path)
-        assert records == [
-            ContactRecord(1, 2, 0, 120, line=2),
-            ContactRecord(2, 3, 60, 240, line=3),
-        ]
+        assert records == [ContactRecord(1, 2, 0, 120), ContactRecord(2, 3, 60, 240)]
+
+    def test_crlf_line_endings_read_the_same(self, tmp_path):
+        path = tmp_path / "contacts.txt"
+        path.write_bytes(b"# demo\r\n1 2 0 120\r\n\r\n2 3 60 240  # overlap\r\n")
+        records = [ContactRecord(1, 2, 0, 120), ContactRecord(2, 3, 60, 240)]
+        assert read_contact_file(path) == records
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2 0 5\n1 3\xff 0 5\n")
+        with pytest.raises(ValueError) as info:
+            read_contact_file(path)
+        assert str(info.value).startswith(f"{path}: line 2: 'utf-8' codec can't decode byte 0xff")
 
     def test_field_count_diagnostic(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -351,3 +408,10 @@ class TestContactFile:
         # rounds 1..4: two edges; 5..9: one edge; round 10: none
         expected = (4 * 2 + 5 * 1 + 0) * 2 / (3 * 10)
         assert mean_instantaneous_degree(graph) == pytest.approx(expected)
+
+    def test_mean_degree_needs_a_length(self):
+        graph = scripted([1, 2], [[(1, 2)]])
+        with pytest.raises(ValueError, match="pass rounds explicitly"):
+            mean_instantaneous_degree(graph)
+        assert mean_instantaneous_degree(graph, rounds=4) == 1.0
+        assert mean_instantaneous_degree(scripted([], []), rounds=4) == 0.0
