@@ -316,18 +316,22 @@ def trace_round_lines(edges: EdgeSet, config: Configuration) -> list:
 class TraceWriter:
     """`trace_round_lines` for the consecutive rounds of one run, reusing text.
 
-    It keeps each node's last `NodeState` with its tuple, and the last edge
-    set with its line.  A state or edge set that is the same object as last
-    round's gets the same text back without formatting it again: both are
+    It keeps each node's last two `NodeState`s with their tuples, and the
+    last edge set with its line.  A state that is the same object as either
+    of the node's last two, or an edge set that is the same object as last
+    round's, gets the same text back without formatting it again: both are
     immutable, so the same object always formats to the same text.  Reuse is
     common because the engine keeps a node's previous `NodeState` object
-    exactly when its state did not change.
+    exactly when its state did not change, and hands back its state from the
+    round before last when the node returned to it: a non-lazy token in a
+    two-node tree swaps the same two states.
     """
 
     def __init__(self):
         self._edges: Optional[EdgeSet] = None
         self._edge_line = ""
-        self._nodes: dict = {}  # node id -> (its last NodeState, its tuple)
+        # node id -> (its last NodeState, its tuple, the one before, its tuple)
+        self._nodes: dict = {}
 
     def round_lines(self, edges: EdgeSet, config: Configuration) -> list:
         if edges is not self._edges:
@@ -338,8 +342,11 @@ class TraceWriter:
         for nid in sorted(states):
             st = states[nid]
             last = known.get(nid)
-            if last is None or last[0] is not st:
-                last = known[nid] = (st, _format_node(st))
+            if last is None:
+                last = known[nid] = (st, _format_node(st), None, "")
+            elif last[0] is not st:
+                text = last[3] if last[2] is st else _format_node(st)
+                last = known[nid] = (st, text, last[0], last[1])
             tokens.append(last[1])
         return [self._edge_line, " ".join(tokens)]
 
@@ -356,18 +363,23 @@ def _parse_edges_token_line(text: str) -> EdgeSet:
     return make_edge_set(pairs)
 
 
-def _parse_nodes_line(text: str, lineno: int, round_index: int, previous: dict) -> tuple:
+def _parse_nodes_line(
+    text: str, lineno: int, round_index: int, previous: dict, before: dict
+) -> tuple:
     """Rebuild a checkable configuration from one 'id:status:parent:score:children'
     line.  The pending action, which the checkers never read, is HELLO.  The
     states keep the line's order, which `read_trace_file` requires to ascend.
 
     Returns the configuration and its states by token.  `previous` is that
-    mapping for the line before: a token that reads exactly as one there gets
-    the same `NodeState` object back, which is the state a parse would give."""
+    mapping for the line before, and `before` for the line before that: a
+    token that reads exactly as one there gets the same `NodeState` object
+    back, which is the state a parse would give, since a token's parse
+    depends on its text alone.  Two lines are kept because a non-lazy token
+    in a two-node tree swaps the same two tuples."""
     states = {}
     by_token = {}
     for token in text.split():
-        state = previous.get(token)
+        state = previous.get(token) or before.get(token)
         if state is None:
             fields = token.split(":")
             if len(fields) != 5:
@@ -432,13 +444,16 @@ def read_trace_file(path) -> Iterator[tuple]:
     node line at a time.  The header and each round must read back exactly as the
     writer formats what was parsed from them, or a TraceFormatError names the line.
 
-    One `TraceWriter` formats the whole read.  A line, or a node tuple, that
-    reads exactly as in the round before gets the round before's parsed object
-    back, so the writer hands back its text without formatting it again; that
-    text already matched the file, so the check stays exact."""
+    One `TraceWriter` formats the whole read.  An edge line that reads exactly
+    as in the round before, or a node tuple that reads exactly as in either of
+    the two rounds before, gets that round's parsed object back, so the writer
+    hands back its text without formatting it again; that text already
+    matched the file, so the check stays exact.  A non-lazy token in a
+    two-node tree swaps the same two tuples, hence the two rounds."""
     writer = TraceWriter()
     last_edge_text = edges = None
     states_by_token: dict = {}
+    states_by_token_before: dict = {}
     with open(path, "rb") as fh:
         lines = _numbered_lines(fh)
         try:
@@ -456,9 +471,10 @@ def read_trace_file(path) -> Iterator[tuple]:
                 node_lineno, node_text = next(lines, (None, None))
                 if node_text is None:
                     raise TraceFormatError(f"line {lineno}: round {round_index} has no node line")
-                config, states_by_token = _parse_nodes_line(
-                    node_text, node_lineno, round_index, states_by_token
+                config, by_token = _parse_nodes_line(
+                    node_text, node_lineno, round_index, states_by_token, states_by_token_before
                 )
+                states_by_token_before, states_by_token = states_by_token, by_token
                 if config.vertices != vertices:
                     raise TraceFormatError(
                         f"line {node_lineno}: round {round_index} nodes do not match the header"

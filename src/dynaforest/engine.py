@@ -55,11 +55,14 @@ comparison in the next.
 The engine builds its adjacency with `model.adjacency` when E_i changes and
 keeps it in `RoundCarry`; nothing else reads it.
 
-Inside a round, `node_step` hands back the previous `NodeState` exactly when
-the new one would be equal, so the engine tells "changed" by identity alone.
-A step that returned an equal copy would only mark nodes dirty that need not
-be; an over-marked node is stepped as in a full round, so the result stays
-exact.
+In round i+1, `node_step` returns `prev`, the node's state in C_i, exactly
+when equal; otherwise it returns C_{i-1}'s state when equal to that.  A
+non-lazy token in a two-node tree swaps the same two states, so such a tree
+soon stops building `NodeState`s.  C_{i-1}'s state is not `prev` when the
+step changed the node, so the engine still tells "changed" by identity alone
+and the dirty rule is untouched.  A step that returned an equal copy would
+only mark nodes dirty that need not be; an over-marked node is stepped as in
+a full round, so the result stays exact.
 
 The engine itself consumes no randomness: one master seed derives a private
 stream per node, so reordering node computation cannot perturb outcomes.
@@ -92,14 +95,20 @@ def make_node_rngs(seed: int, vertices) -> dict:
 
 @dataclass
 class RoundCarry:
-    """What a round leaves for the next one: E_i, its adjacency, and the dirty set.
+    """What a round leaves for the next one: E_i, its adjacency, the dirty set,
+    and the states of the round before, C_{i-1}.
 
     Empty until the first round fills it; `run_round` updates it in place.
+    `before` costs nothing to keep, being the `config.states` of the last
+    call, and lets a step return a node's state from two rounds back instead
+    of building an equal one: a non-lazy token in a two-node tree swaps the
+    same two states.
     """
 
     edges: Optional[EdgeSet] = None
     adjacency: Optional[dict] = None  # `model.adjacency(V, edges)`
     dirty: Optional[set] = None  # nodes the next round must step
+    before: Optional[Mapping] = None  # C_{i-1}'s states, by node id
 
 
 def run_round(
@@ -122,6 +131,8 @@ def run_round(
     # more nodes dirty is wasted work, so it stops.
     everyone = len(states)
     fresh = carry is None or carry.adjacency is None
+    # a fresh round offers each node its own state: `node_step` skips it
+    before = states if fresh else carry.before
     if not fresh and (edges is carry.edges or edges == carry.edges):
         neighbours, dirty = carry.adjacency, carry.dirty
     else:
@@ -150,7 +161,7 @@ def run_round(
         prev = states[u]
         senders = neighbours[u]
         st = new_states[u] = node_step(
-            prev, senders, states, aimed.get(u, ()), rngs[u], lazy, rest_probability
+            prev, senders, states, aimed.get(u, ()), rngs[u], lazy, rest_probability, before[u]
         )
         if len(next_dirty) == everyone:
             continue
@@ -167,6 +178,7 @@ def run_round(
         next_dirty.update(v for v in heard - next_dirty if new_states[v].status is _T)
     if carry is not None:
         carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty
+        carry.before = states
     return Configuration(round=config.round + 1, states=new_states)
 
 

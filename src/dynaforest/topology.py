@@ -305,6 +305,8 @@ def read_contact_file(path) -> list:
 
 def mean_instantaneous_degree(graph: EvolvingGraph, rounds: Optional[int] = None) -> float:
     """Average of 2|E_i| / |V| over the graph's rounds (a dataset sanity metric)."""
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     total_rounds = rounds if rounds is not None else graph.rounds
     if not total_rounds:
         raise ValueError("graph has no natural length; pass rounds explicitly")

@@ -627,6 +627,28 @@ class TestCmdCheck:
                         return
         pytest.fail("trace contained no parent pointer to mutate")
 
+    def test_token_one_character_off_the_one_two_rounds_back(self, tmp_path, capsys):
+        # non-lazy, nodes 1 and 2 swap the same two tuples: round 6's tuple
+        # of node 1 reads as round 4's, and is parsed from two lines back
+        script = tmp_path / "pair.script"
+        script.write_text("1-2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--adversary", "scripted", "--script-file", str(script),
+                     "--nodes", "2", "--rounds", "8", "--seeds", "0", "--out", str(out)]) == 0
+        lines = (out / "trace_seed0.txt").read_text().splitlines()
+        node_line = {r: 5 + 2 * (r - 1) + 1 for r in range(1, 9)}  # round -> line index
+        assert lines[node_line[4]] == lines[node_line[6]] != lines[node_line[5]]
+        tokens = lines[node_line[6]].split()
+        nid, status, parent, score, children = tokens[0].split(":")
+        assert (nid, parent) == ("1", "2")
+        tokens[0] = ":".join([nid, status, "3", score, children])  # parent 2 -> 3
+        lines[node_line[6]] = " ".join(tokens)
+        tampered = tmp_path / "tampered.txt"
+        tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_VIOLATION
+        assert "round 6: ForestConsistency: node 1 has parent 3" in capsys.readouterr().err
+
     def tampered_round_1(self, tmp_path, edit):
         """A real trace whose round-1 edge and node lines pass through `edit`."""
         lines = self.make_trace(tmp_path).read_text().splitlines()

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynaforest import analysis, engine, topology
+from dynaforest import analysis, cli, engine, protocol, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
 
@@ -266,6 +266,33 @@ class TestDeltaRounds:
         graph = topology.scripted(range(1, n + 1), script)
         assert mismatched_rounds(graph, len(script) + 10, seed, lazy, rest_probability) == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_carried_rounds_reuse_the_states_of_the_round_before(self, data, seed, lazy):
+        # rounds drawn from a small pool of edge sets give static stretches,
+        # where non-lazy tokens swap two-node trees back and forth
+        n = data.draw(st.integers(2, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        pool = data.draw(st.lists(st.sets(st.sampled_from(pairs)), min_size=1, max_size=4))
+        pattern = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        graph = topology.scripted(range(1, n + 1), [pool[k] for k in pattern])
+        full = initial_configuration(graph.vertices)
+        rngs = make_node_rngs(seed, graph.vertices)
+        writer = cli.TraceWriter()
+        # the states of the run's C_{i-2} and C_{i-1}; C_0 is built inside the run
+        older = previous = dict.fromkeys(graph.vertices)
+        for i, edges, config in engine.iter_run(graph, len(pattern), seed, lazy):
+            full = run_round(full, edges, rngs, lazy)
+            assert config == full, f"round {i}"
+            for u, state in config.states.items():
+                # never an equal copy of C_{i-1}'s state, nor of C_{i-2}'s
+                if state == previous[u]:
+                    assert state is previous[u], f"round {i}, node {u}"
+                elif state == older[u]:
+                    assert state is older[u], f"round {i}, node {u}"
+            assert writer.round_lines(edges, config) == cli.trace_round_lines(edges, config)
+            older, previous = previous, config.states
+
     @pytest.mark.parametrize("lazy, rounds", [(True, 3000), (False, 1500)])
     def test_long_sparse_run_matches_full_rounds(self, monkeypatch, lazy, rounds):
         # 78 nodes at the criterion-5 mean degree 1.3, edges that live about
@@ -303,6 +330,26 @@ class TestDeltaRounds:
         for before, after in zip(configs, configs[1:]):
             for u in (3, 4, 5):  # isolated roots
                 assert after.states[u] is before.states[u]
+
+    def test_two_node_swap_builds_no_state_from_round_4(self, monkeypatch):
+        # non-lazy, the token of a two-node tree FLIPs every round: from the
+        # first FLIP's commit on, each node alternates between two states
+        built = [0]
+        real_state = protocol.NodeState
+
+        def counting_state(*args, **kwargs):
+            built[0] += 1
+            return real_state(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "NodeState", counting_state)
+        configs = [initial_configuration([1, 2])]
+        for i, _, config in engine.iter_run(static_graph(2, [(1, 2)]), rounds=40, seed=0):
+            assert (built[0] == 0) == (i >= 4), f"round {i}"
+            built[0] = 0
+            configs.append(config)
+        for older, previous, config in zip(configs[2:], configs[3:], configs[4:]):
+            assert config.states != previous.states  # the token moves every round
+            assert all(config.states[u] is older.states[u] for u in (1, 2))
 
     def test_foreign_endpoint_fails_in_its_round_after_quiet_rounds(self):
         quiet = make_edge_set([(1, 2)])

@@ -396,6 +396,25 @@ class TestReuse:
         received = [hello(5, N, 5), hello(8, N, 8)]
         assert node_step(prev, *delivery(prev, received), node_rng(0, 3)) is prev
 
+    def test_state_equal_to_the_older_one_is_that_object(self):
+        prev = make_state(3, status=N, parent=8, children={5, 6})  # 6 left
+        older = make_state(3, status=N, parent=8, children={5})
+        received = [hello(5, N, 5), hello(8, N, 8)]
+        inputs = (*delivery(prev, received), node_rng(0, 3))
+        assert node_step(prev, *inputs, older=older) is older
+        # another node's state with the same fields, or a different older
+        # state, is not handed back: the step builds its own
+        for other in (make_state(4, status=N, parent=8, children={5}, score=3),
+                      make_state(3, status=N, parent=8, children={5}, score=9)):
+            out = node_step(prev, *inputs, older=other)
+            assert out is not other and out == older
+
+    def test_unchanged_state_is_prev_whatever_the_older_one(self):
+        prev = make_state(3, status=N, parent=8, children={5})
+        received = [hello(5, N, 5), hello(8, N, 8)]
+        older = make_state(3, status=N, parent=8, children={5})  # equal, not the same
+        assert node_step(prev, *delivery(prev, received), node_rng(0, 3), older=older) is prev
+
     def test_parent_change_alone_gives_a_new_state(self):
         # a FLIP aimed at a token holder that still names a parent clears the
         # parent; nothing else changes and the lazy node rests

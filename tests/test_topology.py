@@ -415,3 +415,13 @@ class TestContactFile:
             mean_instantaneous_degree(graph)
         assert mean_instantaneous_degree(graph, rounds=4) == 1.0
         assert mean_instantaneous_degree(scripted([], []), rounds=4) == 0.0
+
+    def test_mean_degree_rejects_zero_rounds(self):
+        graph = scripted([1, 2], [[(1, 2)]])
+        with pytest.raises(ValueError, match=r"^rounds must be >= 1, got 0$"):
+            mean_instantaneous_degree(graph, rounds=0)
+
+    def test_mean_degree_rejects_negative_rounds(self):
+        graph = scripted([1, 2], [[(1, 2)]])
+        with pytest.raises(ValueError, match=r"^rounds must be >= 1, got -3$"):
+            mean_instantaneous_degree(graph, rounds=-3)
