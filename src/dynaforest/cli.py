@@ -594,9 +594,19 @@ def _worker_count(n_seeds: int) -> int:
     return max(1, min(n_seeds, limit))
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Each line and a newline into `path`, one line at a time."""
+    with path.open("w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def cmd_run(config: RunConfig) -> int:
     config.validate()
-    if config.adversary != "edge-markov":
+    if config.adversary == "edge-markov":
+        # numpy loads once, here, so forked workers inherit it instead of each
+        # importing it again
+        from . import markov  # noqa: F401
+    else:
         build_graph(config, config.seeds[0])  # a bad input file fails here, before fan-out
     workers = _worker_count(len(config.seeds))
     results = []
@@ -633,20 +643,19 @@ def cmd_run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results.sort(key=lambda r: r.seed)
     aggregate_rows = []
+    # Lines are written one by one: joining a trace into one string, adding the
+    # last newline and encoding it would each hold one more full copy of it.
     for result in results:
-        csv_path = out_dir / f"metrics_seed{result.seed}.csv"
-        csv_path.write_text("\n".join(analysis.round_csv_lines(result.summary)) + "\n")
-        trace_path = out_dir / f"trace_seed{result.seed}.txt"
-        trace_path.write_text("\n".join(result.trace_lines) + "\n")
+        _write_lines(out_dir / f"metrics_seed{result.seed}.csv",
+                     analysis.round_csv_lines(result.summary))
+        _write_lines(out_dir / f"trace_seed{result.seed}.txt", result.trace_lines)
         aggregate_rows.append((result.seed, result.summary))
         print(
             f"seed {result.seed}: mean trees/component "
             f"{result.summary.mean_trees_per_component:.4f}, optimal "
             f"{result.summary.fraction_optimal_rounds:.2%} of rounds"
         )
-    (out_dir / "aggregate.csv").write_text(
-        "\n".join(analysis.aggregate_csv_lines(aggregate_rows)) + "\n"
-    )
+    _write_lines(out_dir / "aggregate.csv", analysis.aggregate_csv_lines(aggregate_rows))
 
     # every seed of one run has the same number of rounds
     rounds = len(results[0].summary.per_round)

@@ -7,7 +7,9 @@ runtime; the whole suite finishes in a few minutes.
 
 import functools
 import itertools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,6 +18,7 @@ from dynaforest.analysis import run_all_checks, trees_per_component
 from dynaforest.model import Action, Status, make_edge
 from dynaforest.topology import ContactRecord, EdgeMarkovParams
 
+from invariant_run import check_run
 from test_engine import run_history
 from test_oracle_equivalence import sweep
 
@@ -42,28 +45,26 @@ def criterion(number, name):
 P_GRID = (0.05, 0.3, 0.9)
 SEEDS_PER_N = {5: 6, 20: 4, 50: 2, 100: 1}  # 9 * 2 * (6+4+2+1) = 234 runs
 ROUNDS = 1000
+CRITERION_1_WORKERS = 4  # at most; each holds its own interpreter and numpy
 
 
 @criterion(1, "invariant suite")
 def test_criterion_1_invariant_suite():
-    runs = 0
+    settings = []
     for n, seed_count in SEEDS_PER_N.items():
         for p_birth, p_death in itertools.product(P_GRID, P_GRID):
             for lazy in (False, True):
                 for offset in range(seed_count):
-                    seed = runs  # distinct, deterministic seed per run
-                    graph = topology.edge_markov(
-                        EdgeMarkovParams(n=n, p_birth=p_birth, p_death=p_death, seed=seed)
-                    )
-                    for i, edges, config in engine.iter_run(
-                        graph, rounds=ROUNDS, seed=seed, lazy=lazy
-                    ):
-                        violations = run_all_checks(config, edges)
-                        assert not violations, (
-                            f"n={n} p=({p_birth},{p_death}) lazy={lazy} seed={seed} "
-                            f"round {i}: {[str(v) for v in violations]}"
-                        )
-                    runs += 1
+                    seed = len(settings)  # distinct, deterministic seed per run
+                    settings.append((n, p_birth, p_death, lazy, seed, ROUNDS))
+    # the runs are independent; each worker imports numpy and dynaforest afresh
+    workers = min(CRITERION_1_WORKERS, os.cpu_count() or 1)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        failures = list(pool.map(check_run, *zip(*settings)))
+    runs = len(failures)
+    for failure in failures:
+        assert failure is None, failure
     assert runs >= 200, f"only {runs} (seed, adversary) pairs exercised"
 
 

@@ -1,10 +1,14 @@
 import argparse
 import multiprocessing
 import os
+import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1023,3 +1027,94 @@ class TestReplayFigure:
         # and its old subtree kept exactly one token per piece
         roots = [u for u, st in configs[4].states.items() if st.status is Status.T]
         assert sorted(roots) == [4, 8]
+
+
+# ---------------------------------------------------------------------------
+# `dynaforest` in a fresh interpreter: what one process imports and holds
+
+# sys.argv[1:] is the dynaforest command line; the exit code is main's
+BLOCK_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+from dynaforest import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# the same, then the process's peak RSS in KiB as the last stdout line.  It
+# is read from VmHWM, not ru_maxrss: Linux keeps in ru_maxrss the peak of the
+# address space an exec replaced, so a process started from pytest would
+# report pytest's peak whenever its own is smaller.
+PEAK_RSS = """
+import sys
+from dynaforest import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def run_fresh(script, args, workers):
+    """`script` in a new interpreter that imports this dynaforest."""
+    package_parent = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, DYNAFOREST_WORKERS=str(workers))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def write_contacts(path, seconds, nodes=78, seed=0):
+    """A contact file whose trace lasts `seconds` * 10 rounds at the default
+    rate: each node meets a neighbour in the first second, then one random
+    pair meets every second, for 1-30 s, the last contact ending at `seconds`."""
+    rng = random.Random(seed)
+    lines = [f"{u} {u + 1} 0 1" for u in range(1, nodes, 2)]
+    for start in range(seconds):
+        a, b = rng.sample(range(1, nodes + 1), 2)
+        lines.append(f"{a} {b} {start} {min(seconds, start + rng.randint(1, 30))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestWithoutNumpy:
+    """Only the edge-Markov adversary needs numpy."""
+
+    def test_contact_check_and_replay_paths_never_import_numpy(self, tmp_path):
+        contacts = tmp_path / "contacts.txt"
+        write_contacts(contacts, seconds=5, nodes=8)
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            done = run_fresh(BLOCK_NUMPY, ["run", "--adversary", "trace", "--trace-file", contacts,
+                                           "--seeds", "0-1", "--out", out], workers)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+            done = run_fresh(BLOCK_NUMPY, ["check", out / "trace_seed1.txt"], workers)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+        done = run_fresh(BLOCK_NUMPY, ["replay-figure", "fig2"], 1)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+
+    def test_the_block_stops_an_edge_markov_run(self, tmp_path):
+        done = run_fresh(BLOCK_NUMPY, run_args("--seeds", "0", "--out", tmp_path / "out"), 1)
+        assert done.returncode == 1
+        assert done.stderr.endswith(
+            "ModuleNotFoundError: import of numpy halted; None in sys.modules\n"
+        )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_long_replay_holds_about_one_copy_of_its_trace(tmp_path):
+    """A run keeps its trace lines until the seed ends, then writes them; the
+    write adds no full copy, so 100x the rounds costs about one trace more."""
+    peak_kib = {}
+    for rounds in (100, 10_000):
+        contacts, out = tmp_path / f"contacts{rounds}.txt", tmp_path / f"out{rounds}"
+        write_contacts(contacts, seconds=rounds // 10)
+        done = run_fresh(PEAK_RSS, ["run", "--adversary", "trace", "--trace-file", contacts,
+                                    "--seeds", "0", "--out", out], 1)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert f"1 seeds x {rounds} rounds" in done.stdout
+        peak_kib[rounds] = int(done.stdout.splitlines()[-1])
+    trace_bytes = (out / "trace_seed0.txt").stat().st_size  # the 10 000-round trace
+    excess = (peak_kib[10_000] - peak_kib[100]) * 1024
+    print(f"peak RSS {peak_kib} KiB, excess {excess / trace_bytes:.2f}x the trace")
+    assert excess <= 1.5 * trace_bytes, (peak_kib, trace_bytes)

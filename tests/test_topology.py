@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynaforest import topology
+from dynaforest.markov import holding_times, stay_log
 from dynaforest.model import make_edge_set
 from dynaforest.topology import (
     ContactRecord,
@@ -25,14 +25,14 @@ def per_pair_event_loop(n, p_birth, p_death, seed, rounds):
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     present = dict.fromkeys(pairs, False)
-    stay = {False: topology.stay_log(p_birth), True: topology.stay_log(p_death)}
-    due = {pair: float(topology.holding_times(rng.random(), stay[False])) for pair in pairs}
+    stay = {False: stay_log(p_birth), True: stay_log(p_death)}
+    due = {pair: float(holding_times(rng.random(), stay[False])) for pair in pairs}
     sets = []
     for r in range(1, rounds + 1):
         for pair in pairs:
             if due[pair] == r:
                 present[pair] = not present[pair]
-                due[pair] = r + float(topology.holding_times(rng.random(), stay[present[pair]]))
+                due[pair] = r + float(holding_times(rng.random(), stay[present[pair]]))
         sets.append(frozenset(pair for pair in pairs if present[pair]))
     return sets
 
@@ -181,7 +181,7 @@ class TestEdgeMarkov:
         u = np.array([0.0, 0.25, 0.5, 1 - 2**-53])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            k = topology.holding_times(u, topology.stay_log(p))
+            k = holding_times(u, stay_log(p))
         if p == 0.0:
             assert np.all(k == np.inf)  # never left
         elif p == 1.0:
