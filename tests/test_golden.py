@@ -1,9 +1,10 @@
 """Golden hashes of end-to-end outputs.
 
-The sha256 of every trace and CSV from one small lazy `cli run`, of the
-`replay-figure fig2` table, and of the checkers' verdicts on a seeded corpus
-of corrupted configurations are pinned here.  A refactor that is meant to
-keep outputs byte-identical must keep these hashes.
+The sha256 of every trace and CSV from one small lazy `cli run`, of one
+non-lazy contact replay, of the `replay-figure fig2` table, and of the
+checkers' verdicts on a seeded corpus of corrupted configurations are pinned
+here.  A refactor that is meant to keep outputs byte-identical must keep
+these hashes.
 
 The run and the corpus use the edge-Markov adversary.  Its 0.1.0 hashes,
 from the chain that draws one uniform per pair per round, stay pinned
@@ -65,6 +66,41 @@ PER_ROUND_RUN_HASHES = {
         "3bd2fae4f66f0a4b605244108e850e37876aead3a610ad908ba0bfa65c46392a",
 }
 
+# A non-lazy replay of 12 nodes over 300 rounds: two-node pairs, one of them
+# ending at 12 s, a star whose root has three children, and a path.  Its
+# edges stand still for long stretches, where the tokens of the pairs swap
+# back and forth and the star's root FLIPs among several children; every
+# edge of the edge-Markov run above churns, so it never reaches that regime.
+CONTACTS = """\
+1 2 0 30
+3 4 0 12
+5 6 0 30
+5 7 0 30
+5 8 0 30
+9 10 0 30
+10 11 0 30
+11 12 0 30
+"""
+
+CONTACT_RUN_ARGS = ["run", "--adversary", "trace", "--no-lazy", "--seeds", "0-2"]
+
+CONTACT_RUN_HASHES = {
+    "aggregate.csv":
+        "86f2f3872d9a910182e5e78c8a7baa0c4f32d5b1e1c7b632b81c69353e505920",
+    "metrics_seed0.csv":
+        "cfff5ac21e30681ef9ff2e217be2945cf857fda6691f40599b6636ce113b1167",
+    "metrics_seed1.csv":
+        "cfff5ac21e30681ef9ff2e217be2945cf857fda6691f40599b6636ce113b1167",
+    "metrics_seed2.csv":
+        "cfff5ac21e30681ef9ff2e217be2945cf857fda6691f40599b6636ce113b1167",
+    "trace_seed0.txt":
+        "0ffbdbdece5ede2638f7fa29a66aa2285084146389ef93b8d328c2bfc4839b1a",
+    "trace_seed1.txt":
+        "9d5d520f340ccb2ca3fbd08933f2a7a3e2b5edd39bcccbc66431dde4e68fb87e",
+    "trace_seed2.txt":
+        "007aa06870e0d2cb060926d5527b090db0c14823e62da097c430ba554768d113",
+}
+
 FIG2_HASH = "3d5624bac06f32d82911ee970f94cf7cce5b9ccf6ef345121d2c07de81ff009e"
 
 
@@ -80,6 +116,16 @@ def run_hashes(out, monkeypatch) -> dict:
 
 def test_cli_run_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert run_hashes(tmp_path, monkeypatch) == RUN_HASHES
+
+
+def test_non_lazy_contact_run_outputs_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(CONTACTS)
+    out = tmp_path / "out"
+    assert main([*CONTACT_RUN_ARGS, "--trace-file", str(contacts), "--out", str(out)]) == 0
+    hashes = {name: sha256((out / name).read_bytes()) for name in CONTACT_RUN_HASHES}
+    assert hashes == CONTACT_RUN_HASHES
 
 
 def test_replay_fig2_output_is_byte_identical(capsys):
