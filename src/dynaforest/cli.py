@@ -21,8 +21,9 @@ on/off: `lazy=true` is `--lazy`, `lazy=false` is `--no-lazy`, and
 `no-checkers=true` is `--no-checkers`.  Flags on the command line win over
 the file.  Exit codes: 0 success; 1 an input that cannot be read, an output
 that cannot be written (files written before it stay), a seed that raised, a
-dead worker, or a trace that `check` cannot parse; 2 a bad flag or value, or
-bad content in a config, contact or script file; 3 an invariant violation.
+dead worker, an edge-markov run without numpy, or a trace that `check` cannot
+parse; 2 a bad flag or value, or bad content in a config, contact or script
+file; 3 an invariant violation.
 Only `main` reports a file that cannot be opened, read or written (`I/O error`).
 """
 
@@ -37,7 +38,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
+from operator import is_not
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -316,38 +318,47 @@ def trace_round_lines(edges: EdgeSet, config: Configuration) -> list:
 class TraceWriter:
     """`trace_round_lines` for the consecutive rounds of one run, reusing text.
 
-    It keeps each node's last two `NodeState`s with their tuples, and the
-    last edge set with its line.  A state that is the same object as either
-    of the node's last two, or an edge set that is the same object as last
-    round's, gets the same text back without formatting it again: both are
-    immutable, so the same object always formats to the same text.  Reuse is
-    common because the engine keeps a node's previous `NodeState` object
-    exactly when its state did not change, and hands back its state from the
-    round before last when the node returned to it: a non-lazy token in a
-    two-node tree swaps the same two states.
+    It keeps the last two rounds' `NodeState`s in ascending id order with
+    their tuples, and the last edge set with its line.  A round starts from
+    the tuples of the round before last and formats again only the positions
+    whose state is not the same object as there, found in C; such a state
+    that is the same object as last round's takes last round's tuple.  Both
+    are immutable, so the same object always formats to the same text.
+    Reuse is common because the engine keeps a node's previous `NodeState`
+    object exactly when its state did not change, and hands back its state
+    from the round before last when the node returned to it: a non-lazy
+    token in a two-node tree swaps the same two states.  A round whose
+    states are not keyed by the last round's ids, in that order, is
+    formatted from scratch in ascending id order.
     """
 
     def __init__(self):
         self._edges: Optional[EdgeSet] = None
         self._edge_line = ""
-        # node id -> (its last NodeState, its tuple, the one before, its tuple)
-        self._nodes: dict = {}
+        self._ids: tuple = ()  # the node ids of the last two rounds, ascending
+        # (states, tuples) of the last round and of the round before
+        self._last: tuple = ((), [])
+        self._older: tuple = ((), [])
 
     def round_lines(self, edges: EdgeSet, config: Configuration) -> list:
         if edges is not self._edges:
             self._edges, self._edge_line = edges, _format_edges(edges)
-        known = self._nodes
         states = config.states
-        tokens = []
-        for nid in sorted(states):
-            st = states[nid]
-            last = known.get(nid)
-            if last is None:
-                last = known[nid] = (st, _format_node(st), None, "")
-            elif last[0] is not st:
-                text = last[3] if last[2] is st else _format_node(st)
-                last = known[nid] = (st, text, last[0], last[1])
-            tokens.append(last[1])
+        ids = tuple(states)
+        if ids == self._ids:
+            values = list(states.values())
+            older_values, tokens = self._older
+            last_values, last_tokens = self._last
+            tokens = tokens.copy()
+            for k in compress(range(len(values)), map(is_not, values, older_values)):
+                st = values[k]
+                tokens[k] = last_tokens[k] if st is last_values[k] else _format_node(st)
+        else:
+            self._ids = tuple(sorted(states))
+            values = [states[u] for u in self._ids]
+            tokens = list(map(_format_node, values))
+            self._last = (values, tokens)  # the rounds kept are this one twice
+        self._older, self._last = self._last, (values, tokens)
         return [self._edge_line, " ".join(tokens)]
 
 
@@ -605,7 +616,12 @@ def cmd_run(config: RunConfig) -> int:
     if config.adversary == "edge-markov":
         # numpy loads once, here, so forked workers inherit it instead of each
         # importing it again
-        from . import markov  # noqa: F401
+        try:
+            from . import markov  # noqa: F401
+        except ImportError as exc:
+            print(f"the edge-markov adversary cannot load: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_FAILURE
     else:
         build_graph(config, config.seeds[0])  # a bad input file fails here, before fan-out
     workers = _worker_count(len(config.seeds))

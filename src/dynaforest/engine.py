@@ -64,8 +64,40 @@ and the dirty rule is untouched.  A step that returned an equal copy would
 only mark nodes dirty that need not be; an over-marked node is stepped as in
 a full round, so the result stays exact.
 
-The engine itself consumes no randomness: one master seed derives a private
-stream per node, so reordering node computation cannot perturb outcomes.
+Rule (R) takes a dirty node's state from C_{i-1} instead of stepping it.
+Let the run be non-lazy, let u be dirty in round i+1, let E_{i+1} = E_i =
+E_{i-1} (`RoundCarry.still` is at least 1), and let C_i[u] and C_i[v], for
+every v in u's row, be the same objects as in C_{i-2}.  A step reads the
+node's own state, its row, the states of its row (a FLIP/SELECT aimed at it
+from outside the row is ignored) and its random stream.  The row is the
+same in E_{i+1} as in E_{i-1}, and the states read are those of C_{i-2}, so
+round i+1's step has round i-1's inputs.
+- Same inputs give the same values: the step's value is C_{i-1}[u]'s.  A
+  round i-1 that skipped u is no exception: skipping is exact, so its step
+  would have returned `prev`, C_{i-2}[u], which is C_{i-1}[u].
+- The step also returns that same object.  It returns `prev`, C_i[u], when
+  the value equals it; no round builds an equal copy of a node's last
+  state, so C_i[u] is then C_{i-1}[u].  Otherwise it returns `older`,
+  C_{i-1}[u].
+- The random stream is the one input that differs, being further along.  A
+  non-lazy step draws only to FLIP, so only when C_{i-1}[u] has a FLIP
+  pending.  A FLIP to the only child is replayed: the engine calls
+  `choose_flip_target` on that child, which takes the bits from the stream
+  that the step would.  A FLIP among two or more children is stepped, since
+  there the draw picks the value.  Any other state drew nothing and is
+  taken as it is.
+The object taken is the one `node_step` would return, so the dirty marking
+and the identity rules above are unchanged.  The nodes whose state in C_i is
+not their C_{i-2} object are found in C, once in each round (R) can apply.
+In a non-lazy contact replay most tokens sit in two-node trees, and most of
+a round's dirty nodes are taken so.  A lazy run steps every dirty node: each
+token with children draws whether to rest, so (R) could take only the other
+states, about 5 % of the steps in the sparse lazy regime, and finding them
+cost more than those steps.
+
+The engine itself draws nothing: one master seed derives a private stream
+per node, so reordering node computation cannot perturb outcomes.  A draw
+that (R) replays is the node's own, made in place of its step.
 """
 
 from __future__ import annotations
@@ -73,11 +105,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import is_not, ne
 from typing import Iterator, Mapping, Optional
 
-from .model import _HELLO, _T, Configuration, EdgeSet, EvolvingGraph, NodeId, adjacency
-from .protocol import LAZY_REST_PROBABILITY, initial_state, node_rng, node_step
+from .model import _FLIP, _HELLO, _T, Configuration, EdgeSet, EvolvingGraph, NodeId, adjacency
+from .protocol import (
+    LAZY_REST_PROBABILITY,
+    choose_flip_target,
+    initial_state,
+    node_rng,
+    node_step,
+)
 
 
 class EngineError(RuntimeError):
@@ -96,19 +134,23 @@ def make_node_rngs(seed: int, vertices) -> dict:
 @dataclass
 class RoundCarry:
     """What a round leaves for the next one: E_i, its adjacency, the dirty set,
-    and the states of the round before, C_{i-1}.
+    the states of the two rounds before, C_{i-1} and C_{i-2}, and how many
+    rounds E has stood still.
 
     Empty until the first round fills it; `run_round` updates it in place.
-    `before` costs nothing to keep, being the `config.states` of the last
-    call, and lets a step return a node's state from two rounds back instead
-    of building an equal one: a non-lazy token in a two-node tree swaps the
-    same two states.
+    `before` and `before2` cost nothing to keep, being the `config.states` of
+    the last two calls.  `before` lets a step return a node's state from two
+    rounds back instead of building an equal one: a non-lazy token in a
+    two-node tree swaps the same two states.  With `before2` and `still`,
+    rule (R) hands such a node its state from C_{i-1} without a step.
     """
 
     edges: Optional[EdgeSet] = None
     adjacency: Optional[dict] = None  # `model.adjacency(V, edges)`
     dirty: Optional[set] = None  # nodes the next round must step
     before: Optional[Mapping] = None  # C_{i-1}'s states, by node id
+    before2: Optional[Mapping] = None  # C_{i-2}'s states, by node id
+    still: int = 0  # rounds E has stood still: E_i = E_{i-1} = ... = E_{i-still}
 
 
 def run_round(
@@ -133,7 +175,8 @@ def run_round(
     fresh = carry is None or carry.adjacency is None
     # a fresh round offers each node its own state: `node_step` skips it
     before = states if fresh else carry.before
-    if not fresh and (edges is carry.edges or edges == carry.edges):
+    same = not fresh and (edges is carry.edges or edges == carry.edges)
+    if same:
         neighbours, dirty = carry.adjacency, carry.dirty
     else:
         try:
@@ -147,6 +190,12 @@ def run_round(
             if len(dirty) < everyone:  # (E), the rows compared in C, not in a Python loop
                 rows = map(ne, neighbours.values(), map(previous.__getitem__, neighbours))
                 dirty = dirty.union(compress(neighbours, rows))
+    # (R), non-lazy: E_{i+1} = E_i = E_{i-1}; `moved` holds the nodes whose
+    # state in C_i is not the same object as in C_{i-2}.  The dicts share
+    # their key order.
+    replay = same and carry.still > 0 and not lazy
+    if replay:
+        moved = set(compress(states, map(is_not, states.values(), carry.before2.values())))
     order = sorted(dirty)
     # The pending FLIP/SELECTs by target: only dirty nodes have one.
     aimed = {}
@@ -160,9 +209,17 @@ def run_round(
     for u in order:
         prev = states[u]
         senders = neighbours[u]
-        st = new_states[u] = node_step(
-            prev, senders, states, aimed.get(u, ()), rngs[u], lazy, rest_probability, before[u]
-        )
+        st = before[u]  # (R) hands back C_{i-1}'s state when it applies
+        if replay and u not in moved and moved.isdisjoint(senders) and not (
+            st.action is _FLIP and len(st.children) > 1  # a draw that picks the value
+        ):
+            if st.action is _FLIP:  # to its one child: the draw is replayed
+                choose_flip_target(st.children, rngs[u])
+        else:
+            st = node_step(
+                prev, senders, states, aimed.get(u, ()), rngs[u], lazy, rest_probability, st
+            )
+        new_states[u] = st
         if len(next_dirty) == everyone:
             continue
         if st.action is not _HELLO:  # (A) and (B)
@@ -178,7 +235,8 @@ def run_round(
         next_dirty.update(v for v in heard - next_dirty if new_states[v].status is _T)
     if carry is not None:
         carry.edges, carry.adjacency, carry.dirty = edges, neighbours, next_dirty
-        carry.before = states
+        carry.before2, carry.before = carry.before, states
+        carry.still = carry.still + 1 if same else 0
     return Configuration(round=config.round + 1, states=new_states)
 
 

@@ -45,6 +45,15 @@ so in a non-lazy contact run most changed states are such a return.
 identity alone.  Any other new state is built, and validated, as usual; a
 reused object was validated when it was built.
 
+A token holder with children draws from its own stream (`node_rng`): a lazy
+root whether to rest (`rng.random()`), and then the child it FLIPs to
+(`choose_flip_target`).  That draw takes the same bits, and gives the same
+child, as `rng.choice(sorted(children))`; a single child still takes its
+bits.  When a node's inputs in a non-lazy run repeat those of two rounds
+back, the engine's rule (R) skips its step and calls `choose_flip_target`
+alone for a FLIP to its only child, so the stream stays where the step
+would leave it.
+
 The paper's convergence claim -- one tree per component once the network
 stops changing -- is shown here for the lazy variant only.  Without rests,
 a token with children FLIPs every round, and on a sparse static graph two
@@ -84,11 +93,28 @@ def initial_state(node_id: NodeId) -> NodeState:
     )
 
 
-def choose_flip_target(children: frozenset, rng: random.Random) -> NodeId:
-    """Uniformly random child, drawn from the node's own seeded stream."""
-    if not children:
+def choose_flip_target(children: AbstractSet[NodeId], rng: random.Random) -> NodeId:
+    """Uniformly random child, drawn from the node's own seeded stream.
+
+    The draw is `rng.choice(sorted(children))` as CPython 3.10-3.12 define
+    it, `seq[_randbelow(len(seq))]`, with the same `getrandbits` calls: k
+    random bits, k the bit length of the number of children, drawn until
+    they read below it.  A single child takes no sort, and it still
+    consumes its bits, so the node's stream stays where `choice` leaves it.
+    """
+    n = len(children)
+    if n == 1:
+        while rng.getrandbits(1):
+            pass
+        (child,) = children
+        return child
+    if not n:
         raise ValueError("cannot pick a flip target from an empty children set")
-    return rng.choice(sorted(children))
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return sorted(children)[r]
 
 
 def node_step(

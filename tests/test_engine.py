@@ -13,14 +13,21 @@ def static_graph(n, edges):
 
 
 def mismatched_rounds(graph, rounds, seed, lazy=False, rest_probability=0.5):
-    """The rounds where `iter_run`'s delta rounds differ from full rounds."""
-    full = initial_configuration(graph.vertices)
-    rngs = make_node_rngs(seed, graph.vertices)
+    """The rounds where carried rounds, as `iter_run` runs them, differ from
+    full rounds, and "rng" if some node's random stream ends elsewhere."""
+    carried = full = initial_configuration(graph.vertices)
+    carried_rngs = make_node_rngs(seed, graph.vertices)
+    full_rngs = make_node_rngs(seed, graph.vertices)
+    carry = engine.RoundCarry()
     mismatches = []
-    for i, edges, config in engine.iter_run(graph, rounds, seed, lazy, rest_probability):
-        full = run_round(full, edges, rngs, lazy, rest_probability)
-        if config != full:
+    for i in range(1, rounds + 1):
+        edges = graph.schedule(i)
+        carried = run_round(carried, edges, carried_rngs, lazy, rest_probability, carry=carry)
+        full = run_round(full, edges, full_rngs, lazy, rest_probability)
+        if carried != full:
             mismatches.append(i)
+    if any(carried_rngs[u].getstate() != full_rngs[u].getstate() for u in graph.vertices):
+        mismatches.append("rng")
     return mismatches
 
 
@@ -261,7 +268,8 @@ class TestDeltaRounds:
         edges = frozenset(data.draw(st.sets(st.sampled_from(pairs))))
         script = []
         for _ in range(data.draw(st.integers(1, 5))):
-            script += [edges] * data.draw(st.integers(1, 15))  # a static stretch
+            # a static stretch: long ones let non-lazy tokens swap back and forth
+            script += [edges] * data.draw(st.integers(1, 40))
             edges = edges ^ data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=3))
         graph = topology.scripted(range(1, n + 1), script)
         assert mismatched_rounds(graph, len(script) + 10, seed, lazy, rest_probability) == []
@@ -350,6 +358,47 @@ class TestDeltaRounds:
         for older, previous, config in zip(configs[2:], configs[3:], configs[4:]):
             assert config.states != previous.states  # the token moves every round
             assert all(config.states[u] is older.states[u] for u in (1, 2))
+
+    def test_static_pair_replays_its_steps_from_round_5(self, monkeypatch):
+        # rule (R): from round 4 on C_i is C_{i-2} and E has stood still
+        # since round 1, so from round 5 each node takes its C_{i-1} state;
+        # the token's one-child FLIP still draws from its stream.  The
+        # contact ends at round 300 (t = 30 s), which steps both nodes
+        graph = topology.parse_contact_trace([topology.ContactRecord(1, 2, 0, 30)], 10)
+        steps = [0]
+        real_step = engine.node_step
+
+        def counting_step(*args):
+            steps[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(engine, "node_step", counting_step)
+        carried = full = initial_configuration(graph.vertices)
+        carried_rngs = make_node_rngs(3, graph.vertices)
+        full_rngs = make_node_rngs(3, graph.vertices)
+        carry = engine.RoundCarry()
+        for i in range(1, graph.rounds + 1):
+            edges = graph.schedule(i)
+            carried = run_round(carried, edges, carried_rngs, carry=carry)
+            assert (steps[0] == 0) == (5 <= i < 300), f"round {i}"
+            full = run_round(full, edges, full_rngs)
+            assert carried == full, f"round {i}"
+            steps[0] = 0
+        assert graph.rounds == 300
+        for u in (1, 2):
+            assert carried_rngs[u].getstate() == full_rngs[u].getstate()
+        assert carried_rngs[1].getstate() != make_node_rngs(3, [1])[1].getstate()
+
+    def test_new_neighbour_is_heard_by_a_swapping_pair(self):
+        # the pair {1,2} swaps its token, and node 3, a lone token with the
+        # greatest score, gains an edge to 1.  A round later 1's state and
+        # its row's are those of two rounds back, but that round's step had
+        # no edge to 3: (R) waits until E has stood still for two rounds,
+        # so 1 is stepped and SELECTs 3
+        pair, joined = [(1, 2)], [(1, 2), (1, 3)]
+        for start in range(2, 9):
+            graph = topology.scripted(range(1, 4), [pair] * start + [joined])
+            assert mismatched_rounds(graph, start + 8, seed=0) == [], start
 
     def test_foreign_endpoint_fails_in_its_round_after_quiet_rounds(self):
         quiet = make_edge_set([(1, 2)])

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -183,6 +184,16 @@ class TestChooseFlipTarget:
     def test_empty_children_rejected(self):
         with pytest.raises(ValueError):
             choose_flip_target(frozenset(), node_rng(0, 1))
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_draws_as_choice_over_the_sorted_children(self, size):
+        # the same child and the same stream afterwards, draw after draw
+        for seed in range(300):
+            children = frozenset(random.Random(seed).sample(range(1, 50), size))
+            ours, theirs = node_rng(seed, size), node_rng(seed, size)
+            for _ in range(5):
+                assert choose_flip_target(children, ours) == theirs.choice(sorted(children))
+                assert ours.getstate() == theirs.getstate(), (seed, size)
 
     def test_roughly_uniform_over_two_children(self):
         rng = node_rng(7, 1)
