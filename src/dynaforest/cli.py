@@ -25,18 +25,28 @@ dead worker, an edge-markov run without numpy, or a trace that `check` cannot
 parse; 2 a bad flag or value, or bad content in a config, contact or script
 file; 3 an invariant violation.
 Only `main` reports a file that cannot be opened, read or written (`I/O error`).
+
+`run` writes each seed's trace and metrics CSV as the seed runs, into a
+staging directory on `--out`'s filesystem: inside `--out` if it exists, else
+in its nearest existing ancestor.  Once every seed has succeeded, the files
+move into `--out`, seed by seed, the metrics CSV before the trace, and
+`aggregate.csv` and the plot follow.  A violation, a seed that raised, a dead
+worker or an I/O error removes the staging directory once the workers have
+stopped, so a failed sweep leaves no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import compress, islice
 from operator import is_not
@@ -561,37 +571,48 @@ def render_mean_ratio_svg(mean_per_round: Sequence[float]) -> str:
 
 @dataclass
 class SeedResult:
+    """What a seed hands back: its metrics summary, or the violations that
+    ended it.  Its files are on disk, in the directory `run_one_seed` was
+    given, so no trace crosses from a worker to the parent."""
+
     seed: int
     summary: Optional[analysis.MetricsSummary]
-    trace_lines: list
     violations: list  # [analysis.Violation] -- nonempty aborts the sweep
 
 
 def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
-    """Simulate one seed: its metrics and trace lines, or its first violations.
+    """Simulate one seed, writing `trace_seed<seed>.txt` and then
+    `metrics_seed<seed>.csv` into `config.out`, a directory that exists.
 
-    With checkers on, every round is checked before it is recorded, and the
-    first round with a violation ends the seed with that round's violations
-    and no trace.  The rounds are formatted by one `TraceWriter`, so a
-    node's tuple or the edge line is formatted again only in a round where
-    it changed.
+    The trace is written as the seed runs: the header, then each round, so the
+    seed holds one round of it at a time.  The rounds are formatted by one
+    `TraceWriter`, so a node's tuple or the edge line is formatted again only
+    in a round where it changed.  With checkers on, every round is checked
+    before it is written, and the first round with a violation ends the seed
+    with that round's violations: its trace then holds the rounds before, and
+    no metrics file is written.  `cmd_run` points `config.out` at a staging
+    directory, so a seed's files reach `--out` only once every seed succeeded.
     """
     graph = build_graph(config, seed)
     metrics = analysis.MetricsAccumulator()
     writer = TraceWriter()
-    trace_lines = trace_header(graph.vertices, seed, config.lazy, graph.params)
-    for i, edges, cfg in engine.iter_run(
-        graph, graph.rounds or config.rounds, seed, config.lazy, config.rest_probability
-    ):
-        if config.checkers:
-            bad = analysis.run_all_checks(cfg, edges)
-            if bad:
-                return SeedResult(seed=seed, summary=None, trace_lines=[], violations=bad)
-        metrics(i, edges, cfg)
-        trace_lines.extend(writer.round_lines(edges, cfg))
-    return SeedResult(
-        seed=seed, summary=metrics.summary(), trace_lines=trace_lines, violations=[]
-    )
+    out = Path(config.out)
+    with (out / f"trace_seed{seed}.txt").open("w") as fh:
+        header = trace_header(graph.vertices, seed, config.lazy, graph.params)
+        fh.writelines(line + "\n" for line in header)
+        for i, edges, cfg in engine.iter_run(
+            graph, graph.rounds or config.rounds, seed, config.lazy, config.rest_probability
+        ):
+            if config.checkers:
+                bad = analysis.run_all_checks(cfg, edges)
+                if bad:
+                    return SeedResult(seed=seed, summary=None, violations=bad)
+            metrics(i, edges, cfg)
+            edge_line, node_line = writer.round_lines(edges, cfg)
+            fh.write(f"{edge_line}\n{node_line}\n")
+    summary = metrics.summary()
+    _write_lines(out / f"metrics_seed{seed}.csv", analysis.round_csv_lines(summary))
+    return SeedResult(seed=seed, summary=summary, violations=[])
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -611,6 +632,27 @@ def _write_lines(path: Path, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
+def _staging_dir(out_dir: Path) -> Path:
+    """A new, empty directory for the seeds' files, on `out_dir`'s filesystem
+    so that moving a file into `out_dir` is a rename: inside `out_dir` if it
+    is a directory already, else in its nearest ancestor that is one."""
+    where = out_dir.absolute()
+    while not where.is_dir():
+        where = where.parent
+    try:
+        return Path(tempfile.mkdtemp(prefix=".dynaforest-run-", dir=where))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out_dir)) from None
+
+
+def _move(source: Path, target: Path) -> None:
+    """Rename `source` to `target`; an OSError names `target` alone."""
+    try:
+        os.replace(source, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
+
+
 def cmd_run(config: RunConfig) -> int:
     config.validate()
     if config.adversary == "edge-markov":
@@ -625,11 +667,24 @@ def cmd_run(config: RunConfig) -> int:
     else:
         build_graph(config, config.seeds[0])  # a bad input file fails here, before fan-out
     workers = _worker_count(len(config.seeds))
+    out_dir = Path(config.out)
+    staging = _staging_dir(out_dir)
+    try:
+        return _run_seeds(config, workers, out_dir, staging)
+    finally:
+        # after the pool has shut down, so no worker still writes here
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _run_seeds(config: RunConfig, workers: int, out_dir: Path, staging: Path) -> int:
+    """`cmd_run` from the fan-out on: the seeds write into `staging`, and their
+    files move into `out_dir` only once every seed has succeeded."""
+    staged = replace(config, out=str(staging))
     results = []
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for result in (pool.map if pool else map)(
-                run_one_seed, [config] * len(config.seeds), config.seeds
+                run_one_seed, [staged] * len(config.seeds), config.seeds
             ):
                 results.append(result)
     except BrokenProcessPool as exc:
@@ -638,6 +693,8 @@ def cmd_run(config: RunConfig) -> int:
         print(f"a worker died; seeds without a result: {lost}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_FAILURE
+    except OSError:
+        raise  # a file a seed could not read or write: `main` reports it
     except Exception as exc:  # raised in a seed
         # results arrive in seed order: the first seed without one failed
         seed = config.seeds[len(results)]
@@ -655,16 +712,12 @@ def cmd_run(config: RunConfig) -> int:
                 print(f"  {v}", file=sys.stderr)
             return EXIT_VIOLATION
 
-    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results.sort(key=lambda r: r.seed)
     aggregate_rows = []
-    # Lines are written one by one: joining a trace into one string, adding the
-    # last newline and encoding it would each hold one more full copy of it.
     for result in results:
-        _write_lines(out_dir / f"metrics_seed{result.seed}.csv",
-                     analysis.round_csv_lines(result.summary))
-        _write_lines(out_dir / f"trace_seed{result.seed}.txt", result.trace_lines)
+        for name in (f"metrics_seed{result.seed}.csv", f"trace_seed{result.seed}.txt"):
+            _move(staging / name, out_dir / name)
         aggregate_rows.append((result.seed, result.summary))
         print(
             f"seed {result.seed}: mean trees/component "
@@ -675,11 +728,11 @@ def cmd_run(config: RunConfig) -> int:
 
     # every seed of one run has the same number of rounds
     rounds = len(results[0].summary.per_round)
-    mean_overall = sum(r.summary.mean_trees_per_component for r in results) / len(results)
+    mean_overall = analysis.mean([r.summary.mean_trees_per_component for r in results])
     print(f"{len(results)} seeds x {rounds} rounds: mean trees/component {mean_overall:.4f}")
 
     per_round = [
-        sum(r.summary.per_round[i].ratio for r in results) / len(results)
+        analysis.mean([r.summary.per_round[i].ratio for r in results])
         for i in range(rounds)
     ]
     (out_dir / "trees_per_component.svg").write_text(render_mean_ratio_svg(per_round))

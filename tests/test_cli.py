@@ -1,4 +1,5 @@
 import argparse
+import errno
 import multiprocessing
 import os
 import random
@@ -66,6 +67,13 @@ RUN_OPTION_VALUES = {
     "--rest-probability": ("0.2", ["--rest-probability", "0.7"], "rest_probability", 0.2, 0.7),
     "--out": ("from-file", ["--out", "from-flag"], "out", "from-file", "from-flag"),
 }
+
+
+def assert_nothing_left(out, before):
+    """A failed `run` leaves no `out`, and nothing new next to it: `before`
+    lists `out`'s parent as it was before the run."""
+    assert not out.exists()
+    assert sorted(out.parent.iterdir()) == before
 
 
 # the files of a one-seed `run`, in the order it writes them
@@ -309,6 +317,7 @@ class TestCmdRun:
         csv0 = (out / "metrics_seed0.csv").read_text().splitlines()
         assert len(csv0) == 41
         assert (out / "trees_per_component.svg").read_text().startswith("<svg")
+        assert list(tmp_path.iterdir()) == [out]  # the seeds' staging directory is gone
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -337,11 +346,12 @@ class TestCmdRun:
             ],
         )
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         rc = main(run_args("--seeds", "0", "--out", str(out)))
         assert rc == cli.EXIT_VIOLATION
         err = capsys.readouterr().err
         assert "replay with --seeds 0" in err and "faked" in err
-        assert not out.exists()  # nothing written after an aborted sweep
+        assert_nothing_left(out, before)  # nothing written after an aborted sweep
 
     def test_violation_in_a_worker_reads_as_in_process(self, tmp_path, monkeypatch, capsys):
         # the violations cross the pickle boundary as `Violation` objects
@@ -360,13 +370,14 @@ class TestCmdRun:
         for workers in ("1", "2"):
             monkeypatch.setenv("DYNAFOREST_WORKERS", workers)
             out = tmp_path / f"workers{workers}"
+            before = sorted(tmp_path.iterdir())
             assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_VIOLATION
             assert capsys.readouterr().err == (
                 "invariant violation in seed 0 (replay with --seeds 0):\n"
                 "  round 3: StateConsistency: node 1 faked\n"
                 "  round 3: ScorePermutation: score 2 twice\n"
             )
-            assert not out.exists()
+            assert_nothing_left(out, before)
 
     def test_serial_and_pool_fan_out_write_the_same_files(self, tmp_path, monkeypatch):
         outs = []
@@ -513,12 +524,13 @@ class TestCmdRun:
         monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         rc = main(["run", *adversary, "--rounds", "5", "--seeds", "0-1", "--out", str(out)])
         assert rc == code
         err = capsys.readouterr().err
         assert err.startswith(prefix)
         assert err.count("\n") == 1
-        assert not out.exists()
+        assert_nothing_left(out, before)
         return err
 
     @pytest.mark.parametrize("blocked", WRITE_ORDER)
@@ -529,8 +541,12 @@ class TestCmdRun:
         assert main(run_args("--seeds", "0", "--out", str(out))) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("I/O error: ") and err.endswith(f": {str(out / blocked)!r}\n")
-        for name in WRITE_ORDER[: WRITE_ORDER.index(blocked)]:  # the files written before stay
+        written = WRITE_ORDER[: WRITE_ORDER.index(blocked)]
+        for name in written:  # the files written before stay
             assert (out / name).is_file(), name
+        # and nothing else is left, in `out` or next to it
+        assert sorted(p.name for p in out.iterdir()) == sorted([*written, blocked])
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class ForkPool(ProcessPoolExecutor):
@@ -558,29 +574,48 @@ class TestSeedFailure:
         monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
         self.fail_seed(monkeypatch, 1, self.boom)
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         assert main(run_args("--seeds", "0-2", "--out", str(out))) == cli.EXIT_FAILURE
         assert capsys.readouterr().err == "seed 1 failed: RuntimeError: boom\n"
-        assert not out.exists()
+        assert_nothing_left(out, before)
 
     def test_exception_in_a_worker(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
         monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
         self.fail_seed(monkeypatch, 1, self.boom)
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         assert main(run_args("--seeds", "0-2", "--out", str(out))) == cli.EXIT_FAILURE
         assert capsys.readouterr().err == "seed 1 failed: RuntimeError: boom\n"
-        assert not out.exists()
+        assert_nothing_left(out, before)
+
+    def test_io_error_in_a_worker_is_reported_by_main(self, tmp_path, monkeypatch, capsys):
+        # such as a seed's trace that cannot be written for a full disk
+        def disk_full():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "trace_seed1.txt")
+
+        monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
+        self.fail_seed(monkeypatch, 1, disk_full)
+        out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
+        assert main(run_args("--seeds", "0-2", "--out", str(out))) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "I/O error: [Errno 28] No space left on device: 'trace_seed1.txt'\n"
+        )
+        assert_nothing_left(out, before)
 
     def test_dead_worker(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
         monkeypatch.setattr(cli, "ProcessPoolExecutor", ForkPool)
         self.fail_seed(monkeypatch, 0, lambda: os._exit(1))
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("a worker died; seeds without a result: 0, 1: BrokenProcessPool: ")
         assert err.count("\n") == 1
-        assert not out.exists()
+        assert_nothing_left(out, before)
 
     def test_dead_worker_is_not_blamed_on_a_running_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DYNAFOREST_WORKERS", "2")
@@ -588,11 +623,12 @@ class TestSeedFailure:
         self.fail_seed(monkeypatch, 0, lambda: time.sleep(1))  # still running when seed 1 dies
         self.fail_seed(monkeypatch, 1, lambda: os._exit(1))
         out = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
         assert main(run_args("--seeds", "0-1", "--out", str(out))) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("a worker died; seeds without a result: 0, 1: BrokenProcessPool: ")
         assert err.count("\n") == 1
-        assert not out.exists()
+        assert_nothing_left(out, before)
 
 
 class TestCmdCheck:
@@ -881,7 +917,8 @@ class TestCmdCheck:
         )
 
     def test_reading_holds_one_round_at_a_time(self, tmp_path):
-        lines = cli.run_one_seed(RunConfig(nodes=12, rounds=2000, checkers=False), 0).trace_lines
+        cli.run_one_seed(RunConfig(nodes=12, rounds=2000, checkers=False, out=str(tmp_path)), 0)
+        lines = (tmp_path / "trace_seed0.txt").read_text().splitlines()
 
         def peak(rounds):
             path = tmp_path / f"trace{rounds}.txt"
@@ -895,6 +932,28 @@ class TestCmdCheck:
 
         short = peak(200)
         assert peak(2000) <= 1.5 * short
+
+    def test_writing_holds_one_round_at_a_time(self, tmp_path):
+        """A seed streams its trace to disk: doubling its rounds grows its
+        peak by far less than the trace the extra rounds write."""
+
+        def run(seconds):
+            contacts, out = tmp_path / f"contacts{seconds}.txt", tmp_path / f"out{seconds}"
+            write_contacts(contacts, seconds)
+            out.mkdir()
+            config = RunConfig(adversary="trace", trace_file=str(contacts), out=str(out))
+            tracemalloc.start()
+            try:
+                result = cli.run_one_seed(config, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result.summary.per_round) == 10 * seconds
+            return peak, (out / "trace_seed0.txt").stat().st_size
+
+        short_peak, short_bytes = run(100)
+        long_peak, long_bytes = run(200)
+        assert long_peak - short_peak < 0.5 * (long_bytes - short_bytes)
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -1115,9 +1174,9 @@ class TestWithoutNumpy:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_long_replay_holds_about_one_copy_of_its_trace(tmp_path):
-    """A run keeps its trace lines until the seed ends, then writes them; the
-    write adds no full copy, so 100x the rounds costs about one trace more."""
+def test_long_replay_holds_far_less_than_its_trace(tmp_path):
+    """A seed streams its trace to disk as it runs, so 100x the rounds costs
+    far less than the trace they write: what grows is the per-round metrics."""
     peak_kib = {}
     for rounds in (100, 10_000):
         contacts, out = tmp_path / f"contacts{rounds}.txt", tmp_path / f"out{rounds}"
@@ -1130,4 +1189,4 @@ def test_long_replay_holds_about_one_copy_of_its_trace(tmp_path):
     trace_bytes = (out / "trace_seed0.txt").stat().st_size  # the 10 000-round trace
     excess = (peak_kib[10_000] - peak_kib[100]) * 1024
     print(f"peak RSS {peak_kib} KiB, excess {excess / trace_bytes:.2f}x the trace")
-    assert excess <= 1.5 * trace_bytes, (peak_kib, trace_bytes)
+    assert excess <= 0.5 * trace_bytes, (peak_kib, trace_bytes)

@@ -3,7 +3,8 @@
 The sha256 of every trace and CSV from one small lazy `cli run`, of one
 non-lazy contact replay, of the `replay-figure fig2` table, and of the
 checkers' verdicts on a seeded corpus of corrupted configurations are pinned
-here.  A refactor that is meant to keep outputs byte-identical must keep
+here, with the `aggregate.csv` of a replay whose means depend on how floats
+are added.  A refactor that is meant to keep outputs byte-identical must keep
 these hashes.
 
 The run and the corpus use the edge-Markov adversary.  Its 0.1.0 hashes,
@@ -18,9 +19,10 @@ import hashlib
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynaforest import cli, engine, topology
+from dynaforest import analysis, cli, engine, topology
 from dynaforest.analysis import ViolationKind, run_all_checks
 from dynaforest.cli import main, read_trace_file
 from dynaforest.model import Configuration, Status
@@ -101,6 +103,32 @@ CONTACT_RUN_HASHES = {
         "007aa06870e0d2cb060926d5527b090db0c14823e62da097c430ba554768d113",
 }
 
+# A non-lazy replay of 10 nodes over 290 rounds whose per-round ratios (7/6,
+# 6/5, 5/4, 4/3, 7/5 and 3/2 among 262 ones) do not add up exactly in floating
+# point: its means depend on the order and the rounding of the addition.
+UNEVEN_CONTACTS = """\
+4 9 4 10
+10 8 20 22
+10 1 15 20
+9 4 6 14
+9 10 15 22
+3 4 20 23
+9 7 23 24
+2 3 24 25
+5 1 8 16
+10 7 22 29
+7 8 4 10
+2 1 4 12
+4 5 21 28
+5 7 16 23
+"""
+
+UNEVEN_AGGREGATE = """\
+seed,meanTreesPerComponent,fractionOptimalRounds
+0,1.0247126436781606,0.903448275862069
+1,1.0247126436781606,0.903448275862069
+"""
+
 FIG2_HASH = "3d5624bac06f32d82911ee970f94cf7cce5b9ccf6ef345121d2c07de81ff009e"
 
 
@@ -126,6 +154,36 @@ def test_non_lazy_contact_run_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert main([*CONTACT_RUN_ARGS, "--trace-file", str(contacts), "--out", str(out)]) == 0
     hashes = {name: sha256((out / name).read_bytes()) for name in CONTACT_RUN_HASHES}
     assert hashes == CONTACT_RUN_HASHES
+
+
+def compensated_sum(values, start=0):
+    """`sum()` as Python 3.12 and later add floats: Neumaier's compensated
+    summation, which leaves a sum of ints an int."""
+    total, compensation = start, 0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("summation", ["builtin", "compensated"])
+def test_means_are_added_left_to_right_on_every_python(tmp_path, monkeypatch, summation):
+    # with 3.12's `sum()` in place of the builtin, the means must not move
+    if summation == "compensated":
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(UNEVEN_CONTACTS)
+    out = tmp_path / "out"
+    argv = ["run", "--adversary", "trace", "--no-lazy", "--seeds", "0-1",
+            "--trace-file", str(contacts), "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "aggregate.csv").read_text() == UNEVEN_AGGREGATE
 
 
 def test_replay_fig2_output_is_byte_identical(capsys):
@@ -268,10 +326,14 @@ def test_only_the_edge_markov_schedule_moved(tmp_path, monkeypatch):
     lazy=st.booleans(),
 )
 def test_written_trace_reads_back_every_round(tmp_path_factory, nodes, p, rounds, seed, lazy):
-    config = cli.RunConfig(nodes=nodes, p_birth=p, p_death=p, rounds=rounds, lazy=lazy)
+    out = tmp_path_factory.mktemp("out")
+    config = cli.RunConfig(
+        nodes=nodes, p_birth=p, p_death=p, rounds=rounds, lazy=lazy, out=str(out)
+    )
     result = cli.run_one_seed(config, seed)
-    path = tmp_path_factory.mktemp("trace") / "trace.txt"
-    path.write_text("\n".join(result.trace_lines) + "\n")
+    path = out / f"trace_seed{seed}.txt"
+    metrics_lines = (out / f"metrics_seed{seed}.csv").read_text().splitlines()
+    assert metrics_lines == analysis.round_csv_lines(result.summary)
     stored = list(read_trace_file(path))
     graph = cli.build_graph(config, seed)
     expected = list(engine.iter_run(graph, rounds, seed, lazy))
