@@ -8,6 +8,9 @@ Commands:
                   must be exactly in the form `run` writes them
     replay-figure run a built-in scripted scenario and print its state table
 
+The trace format, its writer and its reader live in `tracefile`, whose
+docstring is the format's one description.
+
 Input files (`--config`, `--script-file`, `--trace-file`) are UTF-8; `#`
 starts a comment, and blank lines are skipped (`model.read_lines`).  Bad
 content on a line, a byte that is not UTF-8 included, is `config error:
@@ -28,9 +31,10 @@ Only `main` reports a file that cannot be opened, read or written (`I/O error`).
 
 `run` writes each seed's trace and metrics CSV as the seed runs, into a
 staging directory on `--out`'s filesystem: inside `--out` if it exists, else
-in its nearest existing ancestor.  Once every seed has succeeded, the files
-move into `--out`, seed by seed, the metrics CSV before the trace, and
-`aggregate.csv` and the plot follow.  A violation, a seed that raised, a dead
+in its nearest existing ancestor.  An `--out` that is a file, or lies under
+one, is an I/O error before any seed runs.  Once every seed has succeeded,
+the files move into `--out`, seed by seed, the metrics CSV before the trace,
+and `aggregate.csv` and the plot follow.  A violation, a seed that raised, a dead
 worker or an I/O error removes the staging directory once the workers have
 stopped, so a failed sweep leaves no output.
 """
@@ -48,21 +52,19 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from itertools import compress, islice
-from operator import is_not
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import analysis, engine, model, topology
-from .model import _T, Configuration, EdgeSet, EvolvingGraph, NodeState, Status, make_edge_set
 from .protocol import LAZY_REST_PROBABILITY
+# the trace format; `TRACE_MAGIC` and `trace_round_lines` are bound here for perfbench and tests
+from .tracefile import TRACE_MAGIC, trace_header, trace_round_lines  # noqa: F401
+from .tracefile import TraceFormatError, TraceWriter, format_edges, parse_edges, read_trace_file
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-TRACE_MAGIC = "dynaforest-trace 1"
 
 ADVERSARIES = ("scripted", "edge-markov", "trace")
 
@@ -70,10 +72,6 @@ ADVERSARIES = ("scripted", "edge-markov", "trace")
 # an ArgumentTypeError too: argparse shows its message when a flag's type raises it
 class ConfigError(argparse.ArgumentTypeError, ValueError):
     """Bad run configuration (reported as a usage error)."""
-
-
-class TraceFormatError(ValueError):
-    """A stored trace file that cannot be parsed."""
 
 
 @dataclass
@@ -257,10 +255,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def read_script_file(path) -> list:
     """One line per round: 'u-v u-v ...'; a single '-' means no edges."""
-    return model.read_lines(path, _parse_edges_token_line)
+    return model.read_lines(path, parse_edges)
 
 
-def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
+def build_graph(config: RunConfig, seed: int) -> model.EvolvingGraph:
     """The adversary's evolving graph for `seed`.
 
     A contact or script file whose content cannot be read as one, or a
@@ -290,232 +288,6 @@ def build_graph(config: RunConfig, seed: int) -> EvolvingGraph:
     vertices = {v for es in schedule for e in es for v in e}
     vertices |= set(range(1, config.nodes + 1))
     return topology.scripted(vertices, schedule)
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-
-def _format_edges(edges: EdgeSet) -> str:
-    return " ".join(f"{u}-{v}" for u, v in sorted(edges)) or "-"
-
-
-def _format_node(st: NodeState) -> str:
-    """A node's 'id:status:parent:score:children' tuple, children ascending."""
-    # an identity test costs about 0.03 us; `.value` about 0.22 us, and a
-    # dict keyed by the member about 0.16 us (Enum hashes in Python)
-    status = "T" if st.status is _T else "N"
-    parent = "-" if st.parent is None else st.parent
-    children = ",".join(map(str, sorted(st.children))) if st.children else "-"
-    return f"{st.id}:{status}:{parent}:{st.score}:{children}"
-
-
-def trace_header(vertices, seed: int, lazy: bool, params: dict) -> list:
-    rendered = " ".join(f"{k}={params[k]}" for k in sorted(params)) or "-"
-    return [
-        TRACE_MAGIC,
-        "vertices " + " ".join(str(v) for v in sorted(vertices)),
-        f"seed {seed}",
-        f"lazy {int(lazy)}",
-        f"params {rendered}",
-    ]
-
-
-def trace_round_lines(edges: EdgeSet, config: Configuration) -> list:
-    """One round's edge line and node line, formatted from scratch."""
-    return TraceWriter().round_lines(edges, config)
-
-
-class TraceWriter:
-    """`trace_round_lines` for the consecutive rounds of one run, reusing text.
-
-    It keeps the last two rounds' `NodeState`s in ascending id order with
-    their tuples, and the last edge set with its line.  A round starts from
-    the tuples of the round before last and formats again only the positions
-    whose state is not the same object as there, found in C; such a state
-    that is the same object as last round's takes last round's tuple.  Both
-    are immutable, so the same object always formats to the same text.
-    Reuse is common because the engine keeps a node's previous `NodeState`
-    object exactly when its state did not change, and hands back its state
-    from the round before last when the node returned to it: a non-lazy
-    token in a two-node tree swaps the same two states.  A round whose
-    states are not keyed by the last round's ids, in that order, is
-    formatted from scratch in ascending id order.
-    """
-
-    def __init__(self):
-        self._edges: Optional[EdgeSet] = None
-        self._edge_line = ""
-        self._ids: tuple = ()  # the node ids of the last two rounds, ascending
-        # (states, tuples) of the last round and of the round before
-        self._last: tuple = ((), [])
-        self._older: tuple = ((), [])
-
-    def round_lines(self, edges: EdgeSet, config: Configuration) -> list:
-        if edges is not self._edges:
-            self._edges, self._edge_line = edges, _format_edges(edges)
-        states = config.states
-        ids = tuple(states)
-        if ids == self._ids:
-            values = list(states.values())
-            older_values, tokens = self._older
-            last_values, last_tokens = self._last
-            tokens = tokens.copy()
-            for k in compress(range(len(values)), map(is_not, values, older_values)):
-                st = values[k]
-                tokens[k] = last_tokens[k] if st is last_values[k] else _format_node(st)
-        else:
-            self._ids = tuple(sorted(states))
-            values = [states[u] for u in self._ids]
-            tokens = list(map(_format_node, values))
-            self._last = (values, tokens)  # the rounds kept are this one twice
-        self._older, self._last = self._last, (values, tokens)
-        return [self._edge_line, " ".join(tokens)]
-
-
-def _parse_edges_token_line(text: str) -> EdgeSet:
-    if text == "-":
-        return frozenset()
-    pairs = []
-    for token in text.split():
-        u, sep, v = token.partition("-")
-        if not sep:
-            raise ValueError(f"bad edge token {token!r}")
-        pairs.append((int(u), int(v)))
-    return make_edge_set(pairs)
-
-
-def _parse_nodes_line(
-    text: str, lineno: int, round_index: int, previous: dict, before: dict
-) -> tuple:
-    """Rebuild a checkable configuration from one 'id:status:parent:score:children'
-    line.  The pending action, which the checkers never read, is HELLO.  The
-    states keep the line's order, which `read_trace_file` requires to ascend.
-
-    Returns the configuration and its states by token.  `previous` is that
-    mapping for the line before, and `before` for the line before that: a
-    token that reads exactly as one there gets the same `NodeState` object
-    back, which is the state a parse would give, since a token's parse
-    depends on its text alone.  Two lines are kept because a non-lazy token
-    in a two-node tree swaps the same two tuples."""
-    states = {}
-    by_token = {}
-    for token in text.split():
-        state = previous.get(token) or before.get(token)
-        if state is None:
-            fields = token.split(":")
-            if len(fields) != 5:
-                raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}")
-            try:
-                nid = int(fields[0])
-                status = Status(fields[1])
-                parent = None if fields[2] == "-" else int(fields[2])
-                score = int(fields[3])
-                children = () if fields[4] == "-" else fields[4].split(",")
-                state = NodeState(nid, status, parent, frozenset(map(int, children)), score)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: bad node tuple {token!r}: {exc}") from None
-        if state.id in states:
-            raise TraceFormatError(f"line {lineno}: node {state.id} is listed twice")
-        states[state.id] = by_token[token] = state
-    return Configuration(round=round_index, states=states), by_token
-
-
-# `trace_header`'s arguments from header lines 2-5, each read on its own
-_HEADER_FIELDS = (
-    lambda line: frozenset(map(int, line.split()[1:])),
-    lambda line: int(line.partition(" ")[2]),
-    lambda line: bool(int(line.partition(" ")[2])),
-    lambda line: dict(word.split("=", 1) for word in line.split()[1:] if word != "-"),
-)
-
-
-def _parse_header(lines: list) -> frozenset:
-    """The vertex set named by a trace's first five lines."""
-    if not lines or lines[0] != TRACE_MAGIC:
-        raise TraceFormatError(f"not a {TRACE_MAGIC!r} file")
-    if len(lines) < 5:
-        raise TraceFormatError(f"header cut short after line {len(lines)} of 5")
-    values = []
-    for lineno, (line, read) in enumerate(zip(lines[1:], _HEADER_FIELDS), start=2):
-        try:
-            values.append(read(line))
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: malformed header line {line!r}") from None
-    for lineno, (got, want) in enumerate(zip(lines, trace_header(*values)), 1):
-        if got != want:
-            raise TraceFormatError(
-                f"line {lineno}: header not in canonical form (expected {want!r})"
-            )
-    return values[0]
-
-
-def _numbered_lines(fh) -> Iterator[tuple]:
-    """(line number, text) for each line of a binary file, decoded as UTF-8
-    without its line ending; a byte that is not UTF-8 names its line."""
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
-        yield lineno, text.removesuffix("\n").removesuffix("\r")
-
-
-def read_trace_file(path) -> Iterator[tuple]:
-    """Yield each round of a stored trace as (round, E_i, C_i), one edge line and
-    node line at a time.  The header and each round must read back exactly as the
-    writer formats what was parsed from them, or a TraceFormatError names the line.
-
-    One `TraceWriter` formats the whole read.  An edge line that reads exactly
-    as in the round before, or a node tuple that reads exactly as in either of
-    the two rounds before, gets that round's parsed object back, so the writer
-    hands back its text without formatting it again; that text already
-    matched the file, so the check stays exact.  A non-lazy token in a
-    two-node tree swaps the same two tuples, hence the two rounds."""
-    writer = TraceWriter()
-    last_edge_text = edges = None
-    states_by_token: dict = {}
-    states_by_token_before: dict = {}
-    with open(path, "rb") as fh:
-        lines = _numbered_lines(fh)
-        try:
-            vertices = _parse_header([text for _, text in islice(lines, 5)])
-            for round_index, (lineno, text) in enumerate(lines, start=1):
-                if text != last_edge_text:
-                    try:
-                        edges = _parse_edges_token_line(text)
-                    except ValueError as exc:
-                        raise TraceFormatError(f"line {lineno}: {exc}") from None
-                    stray = model.foreign_endpoint(vertices, edges)
-                    if stray:
-                        raise TraceFormatError(f"line {lineno}: {stray}")
-                    last_edge_text = text
-                node_lineno, node_text = next(lines, (None, None))
-                if node_text is None:
-                    raise TraceFormatError(f"line {lineno}: round {round_index} has no node line")
-                config, by_token = _parse_nodes_line(
-                    node_text, node_lineno, round_index, states_by_token, states_by_token_before
-                )
-                states_by_token_before, states_by_token = states_by_token, by_token
-                if config.vertices != vertices:
-                    raise TraceFormatError(
-                        f"line {node_lineno}: round {round_index} nodes do not match the header"
-                    )
-                edge_line, node_line = writer.round_lines(edges, config)
-                if text != edge_line:
-                    raise TraceFormatError(
-                        f"line {lineno}: edges not in canonical form "
-                        "(each edge once, smaller id first, in ascending order)"
-                    )
-                if node_text != node_line:
-                    raise TraceFormatError(
-                        f"line {node_lineno}: nodes not in canonical form "
-                        "(tuples in ascending id order, children ascending)"
-                    )
-                yield round_index, edges, config
-            if edges is None:  # `run` never writes a trace of zero rounds
-                raise TraceFormatError("no round after the header")
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +407,15 @@ def _write_lines(path: Path, lines) -> None:
 def _staging_dir(out_dir: Path) -> Path:
     """A new, empty directory for the seeds' files, on `out_dir`'s filesystem
     so that moving a file into `out_dir` is a rename: inside `out_dir` if it
-    is a directory already, else in its nearest ancestor that is one."""
+    is a directory already, else in its nearest ancestor that is one.  An
+    `out_dir` that is a file, or lies under one, raises OSError here, before
+    any seed runs."""
     where = out_dir.absolute()
     while not where.is_dir():
+        if os.path.lexists(where):
+            # `out_dir` is a file or lies under one, so it cannot be made:
+            # raise the error that making it gives now, before the sweep
+            os.mkdir(out_dir)
         where = where.parent
     try:
         return Path(tempfile.mkdtemp(prefix=".dynaforest-run-", dir=where))
@@ -780,7 +558,7 @@ FIG2_SCHEDULE = [
 ]
 
 
-def fig2_graph() -> EvolvingGraph:
+def fig2_graph() -> model.EvolvingGraph:
     return topology.scripted(range(1, 9), FIG2_SCHEDULE)
 
 
@@ -794,7 +572,7 @@ def cmd_replay_figure(name: str, seed: Optional[int] = None) -> int:
     print(f"scenario {name}: {len(graph.vertices)} nodes, {rounds} rounds, seed {use_seed}")
     for i, edges, config in engine.iter_run(graph, rounds, use_seed):
         bad = analysis.run_all_checks(config, edges)
-        print(f"round {i}  edges: {_format_edges(edges)}")
+        print(f"round {i}  edges: {format_edges(edges)}")
         print("  node status parent score")
         for nid in sorted(config.states):
             st = config.states[nid]

@@ -1,5 +1,6 @@
 """Shared domain types: node state, messages, edge sets, evolving graphs;
-and `read_lines`, the one reader of the line-oriented input files.
+and `numbered_lines`, the one rule by which every line-oriented file is
+read, with `read_lines` on top of it for the input files.
 
 A node's message is a view of its state: `NodeState` stores the pending
 action and target, and `NodeState.out_message` derives the rest.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 NodeId = int
 Score = int
@@ -161,20 +162,35 @@ def foreign_endpoint(vertices, edges: Iterable) -> Optional[str]:
     return f"edge {{{u},{v}}} endpoint {u if u not in vertices else v} is not in the vertex set"
 
 
+def numbered_lines(fh) -> Iterator[tuple]:
+    """(line number, text) for each line of the binary file `fh`, numbered
+    from 1, the text decoded as UTF-8 without its line ending.  A byte that
+    is not UTF-8 raises ValueError `line <n>: <message>`."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        yield lineno, text.removesuffix("\n").removesuffix("\r")
+
+
 def read_lines(path, parse: Callable[[str], object]) -> list:
-    """`parse(text)` for each line of a UTF-8 file that holds more than a `#`
+    """`parse(text)` for each of `numbered_lines` that holds more than a `#`
     comment, `text` being the line before any `#`, stripped.  Any ValueError,
     a byte that is not UTF-8 included, is raised again as
-    `<path>: line <n>: <message>`, lines counted from 1."""
+    `<path>: line <n>: <message>`."""
     parsed = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                text = raw.decode("utf-8").split("#", 1)[0].strip()
+        try:
+            for lineno, text in numbered_lines(fh):
+                text = text.split("#", 1)[0].strip()
                 if text:
-                    parsed.append(parse(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                    try:
+                        parsed.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return parsed
 
 

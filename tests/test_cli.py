@@ -533,6 +533,34 @@ class TestCmdRun:
         assert_nothing_left(out, before)
         return err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "out, code",
+        [("afile", errno.EEXIST), ("afile/sub", errno.ENOTDIR)],
+        ids=["a-file", "under-a-file"],
+    )
+    def test_out_that_is_or_lies_under_a_file_fails_before_any_seed(
+        self, tmp_path, monkeypatch, capsys, out, code, workers
+    ):
+        started = []
+
+        def never(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("started before --out was found unusable")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DYNAFOREST_WORKERS", str(workers))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(cli, "run_one_seed", never)
+        (tmp_path / "afile").write_text("keep\n")
+        assert main(run_args("--seeds", "0-1", "--out", out)) == cli.EXIT_FAILURE
+        assert started == []
+        assert capsys.readouterr().err == (
+            f"I/O error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+        )
+        assert (tmp_path / "afile").read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]  # no .dynaforest-run-*
+
     @pytest.mark.parametrize("blocked", WRITE_ORDER)
     def test_unwritable_output_is_an_io_error(self, tmp_path, monkeypatch, capsys, blocked):
         monkeypatch.setenv("DYNAFOREST_WORKERS", "1")
@@ -906,6 +934,22 @@ class TestCmdCheck:
             "invalid literal for int() with base 10: 'x'\n"
         )
 
+    @pytest.mark.parametrize(
+        "node_line, message",
+        [(False, "line 6: bad edge token '#'"), (True, "line 7: bad node tuple '#'")],
+        ids=["edge-line", "node-line"],
+    )
+    def test_hash_is_not_a_comment_in_a_trace(self, tmp_path, capsys, node_line, message):
+        # the input files' `#` comments are cut by `read_lines`; a trace line is read whole
+        def edit(edges, nodes):
+            return (edges, nodes + " # note") if node_line else (edges + " # note", nodes)
+
+        tampered = self.tampered_round_1(tmp_path, edit)
+        assert tampered.read_text().splitlines()[5 + node_line].endswith(" # note")
+        capsys.readouterr()
+        assert main(["check", str(tampered)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == f"cannot parse trace: {tampered}: {message}\n"
+
     def test_node_line_without_a_header_vertex_is_a_parse_error(self, tmp_path, capsys):
         tampered = self.tampered_round_1(
             tmp_path, lambda edges, nodes: (edges, " ".join(nodes.split()[:-1]))
@@ -1161,6 +1205,22 @@ class TestWithoutNumpy:
             assert done.returncode == cli.EXIT_OK, done.stderr
         done = run_fresh(BLOCK_NUMPY, ["replay-figure", "fig2"], 1)
         assert done.returncode == cli.EXIT_OK, done.stderr
+
+    def test_the_trace_format_imports_without_numpy_or_the_cli(self):
+        # `-S`: no site hook imports anything before the script runs
+        script = (
+            'import sys\n'
+            'sys.modules["numpy"] = None\n'
+            'import dynaforest.tracefile\n'
+            'print(*sorted({"argparse", "concurrent.futures", "tempfile"} & set(sys.modules)))\n'
+        )
+        package_parent = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=package_parent),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "\n"
 
     def test_the_block_stops_an_edge_markov_run(self, tmp_path):
         done = run_fresh(BLOCK_NUMPY, run_args("--seeds", "0", "--out", tmp_path / "out"), 1)
