@@ -9,7 +9,6 @@ from .model import (
     Action,
     Configuration,
     EvolvingGraph,
-    Message,
     NodeState,
     Status,
     make_edge,
@@ -24,7 +23,6 @@ __all__ = [
     "Action",
     "Configuration",
     "EvolvingGraph",
-    "Message",
     "NodeState",
     "Status",
     "initial_configuration",

@@ -143,7 +143,8 @@ def check_score_permutation(config: Configuration) -> list:
     missing = sorted((ids - scores).elements())
     if not extra and not missing:
         return []
-    holders = sorted(u for u in states if states[u].score in set(extra))
+    extra_scores = set(extra)
+    holders = sorted(u for u in states if states[u].score in extra_scores)
     return [
         Violation(
             config.round,

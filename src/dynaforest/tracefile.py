@@ -231,7 +231,7 @@ def read_trace_file(path) -> Iterator[tuple]:
                 if node_text is None:
                     raise TraceFormatError(f"line {lineno}: round {round_index} has no node line")
                 config, known = _parse_nodes_line(node_text, node_lineno, round_index, known)
-                if config.vertices != vertices:
+                if config.states.keys() != vertices:
                     raise TraceFormatError(
                         f"line {node_lineno}: round {round_index} nodes do not match the header"
                     )

@@ -5,8 +5,16 @@ Mutable node objects execute the per-round procedure line by line; nothing
 is shared with the package's implementation except the per-node random
 streams (dynaforest.protocol.node_rng), so both sides draw identical flip
 targets and the resulting configurations are directly comparable.
+
+The package keeps no message type: a node's message is its state.  The
+five-field `Message` view of an engine state, with the status the state
+announces, is taken here by `message_of`, for the comparisons and for tests
+that write a sender's message out in full.
 """
 
+from typing import NamedTuple, Optional
+
+from dynaforest.model import Action, Status
 from dynaforest.protocol import LAZY_REST_PROBABILITY, node_rng
 
 T = "T"
@@ -14,6 +22,28 @@ N = "N"
 FLIP = "FLIP"
 SELECT = "SELECT"
 HELLO = "HELLO"
+
+
+class Message(NamedTuple):
+    """The five-field wire unit an engine state sends at the start of a round."""
+
+    sender: int
+    sender_status: Status
+    action: Action
+    target: Optional[int]
+    score: int
+
+
+def message_of(state):
+    """The message `state` sends: a SELECT announces status N, a FLIP status
+    T, a HELLO the node's status."""
+    if state.action is Action.SELECT:
+        status = Status.N
+    elif state.action is Action.FLIP:
+        status = Status.T
+    else:
+        status = state.status
+    return Message(state.id, status, state.action, state.target, state.score)
 
 
 class Msg:
@@ -140,7 +170,7 @@ def engine_snapshot(config):
     """The same comparable view taken from an engine Configuration."""
     view = {}
     for v, st in sorted(config.states.items()):
-        out = st.out_message
+        out = message_of(st)
         view[v] = (
             st.status.value,
             st.parent,

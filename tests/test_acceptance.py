@@ -119,10 +119,9 @@ def test_criterion_3_score_swap_oracle():
         ids = sorted(prev.states)
         for i, edges, config in engine.iter_run(graph, rounds=600, seed=seed):
             for u, st in prev.states.items():
-                out = st.out_message
-                if out.action is not Action.FLIP:
+                if st.action is not Action.FLIP:
                     continue
-                v = out.target
+                v = st.target
                 if make_edge(u, v) not in edges:
                     continue
                 before = (st.score, prev.states[v].score)

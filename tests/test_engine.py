@@ -7,6 +7,8 @@ from dynaforest import analysis, cli, engine, protocol, topology
 from dynaforest.engine import EngineError, initial_configuration, make_node_rngs, run_round
 from dynaforest.model import Action, EvolvingGraph, Status, make_edge, make_edge_set
 
+from naive_oracle import message_of
+
 
 def static_graph(n, edges):
     return topology.scripted(range(1, n + 1), [edges])
@@ -45,8 +47,8 @@ class TestRunRound:
     def test_two_roots_merge_over_stable_edge(self):
         graph = static_graph(8, [(2, 8)])
         _, c1, c2 = run_history(graph, rounds=2, seed=0)[0]
-        assert c1.states[2].out_message.action is Action.SELECT
-        assert c1.states[2].out_message.target == 8
+        assert c1.states[2].action is Action.SELECT
+        assert c1.states[2].target == 8
         assert c2.states[2].parent == 8 and c2.states[2].status is Status.N
         assert 2 in c2.states[8].children
 
@@ -61,8 +63,8 @@ class TestRunRound:
         # edge that vanishes in the FLIP's round
         graph = topology.scripted([2, 8], [[(2, 8)], [(2, 8)], []])
         _, _, c2, c3 = run_history(graph, rounds=3, seed=0)[0]
-        assert c2.states[8].out_message.action is Action.FLIP
-        assert c2.states[8].out_message.target == 2
+        assert c2.states[8].action is Action.FLIP
+        assert c2.states[8].target == 2
         assert c3.states[2].status is Status.T and c3.states[2].parent is None
         assert c3.states[2].children == frozenset()
         assert c3.states[2].score == c2.states[2].score
@@ -80,8 +82,8 @@ class TestRunRound:
         # hand-executed oracle on ids 1 < 4 < 8, all mutually visible
         graph = static_graph(8, [(1, 4), (1, 8), (4, 8)])
         _, c1, c2 = run_history(graph, rounds=2, seed=0)[0]
-        assert c1.states[1].out_message.target == 8
-        assert c1.states[4].out_message.target == 8
+        assert c1.states[1].target == 8
+        assert c1.states[4].target == 8
         assert c2.states[1].parent == 8 and c2.states[4].parent == 8
         assert c2.states[8].children == frozenset({1, 4})
 
@@ -152,15 +154,15 @@ class TestRoundProperties:
                     neighbors[u].add(v)
                     neighbors[v].add(u)
                 assert delivered.keys() <= config.states.keys()
-                sent = {v: st.out_message for v, st in before.states.items()}
+                sent = {v: message_of(st) for v, st in before.states.items()}
                 for u, (senders, states, aimed) in delivered.items():
                     # u hears exactly its neighbours in E_i
                     assert senders == neighbors[u]
                     # each sender's state, and so its message, is its previous-round one
                     assert all(states[v] == before.states[v] for v in senders)
-                    assert all(states[v].out_message == sent[v] for v in senders)
+                    assert all(message_of(states[v]) == sent[v] for v in senders)
                     # aimed: the states of every previous-round message whose target is u
-                    assert [st.out_message for st in sorted(aimed, key=lambda st: st.id)] == [
+                    assert [message_of(st) for st in sorted(aimed, key=lambda st: st.id)] == [
                         m for m in sent.values() if m.target == u
                     ]
                 # a node that was not stepped keeps its state object
@@ -180,13 +182,12 @@ class TestRoundProperties:
         for i, edges in enumerate(edge_sets, start=1):
             before = configurations[i - 1]
             for u, st in before.states.items():
-                out = st.out_message
-                if out.action is Action.HELLO:
+                if st.action is Action.HELLO:
                     continue
-                sent_successfully = make_edge(u, out.target) in edges
+                sent_successfully = make_edge(u, st.target) in edges
                 got_flip = any(
-                    other.out_message.action is Action.FLIP
-                    and other.out_message.target == u
+                    other.action is Action.FLIP
+                    and other.target == u
                     and make_edge(v, u) in edges
                     for v, other in before.states.items()
                     if v != u
@@ -200,10 +201,9 @@ class TestRoundProperties:
         for i, edges in enumerate(edge_sets, start=1):
             before, after = configurations[i - 1], configurations[i]
             for u, st in before.states.items():
-                out = st.out_message
-                if out.action is not Action.FLIP or make_edge(u, out.target) not in edges:
+                if st.action is not Action.FLIP or make_edge(u, st.target) not in edges:
                     continue
-                v = out.target
+                v = st.target
                 pair_before = (st.score, before.states[v].score)
                 assert after.states[u].score == min(pair_before)
                 assert after.states[v].score == max(pair_before)

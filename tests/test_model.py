@@ -9,7 +9,6 @@ from dynaforest.model import (
     Action,
     Configuration,
     EvolvingGraph,
-    Message,
     NodeState,
     Status,
     make_edge,
@@ -50,22 +49,9 @@ class TestEdges:
 
 
 class TestMessageInvariants:
-    """The pending action's checks, made where the state is built, and the
-    message the state announces."""
-
-    def test_select_announces_n(self):
-        state = make_state(1, action=Action.SELECT, target=2)
-        assert state.out_message == Message(1, Status.N, Action.SELECT, 2, 1)
-
-    def test_flip_announces_t(self):
-        state = make_state(1, children={2}, score=5, action=Action.FLIP, target=2)
-        assert state.out_message == Message(1, Status.T, Action.FLIP, 2, 5)
-
-    def test_hello_announces_the_status(self):
-        for status in (Status.T, Status.N):
-            parent = None if status is Status.T else 2
-            state = make_state(1, status=status, parent=parent, score=3)
-            assert state.out_message == Message(1, status, Action.HELLO, None, 3)
+    """The pending action's checks, made where the state is built.  Which
+    status a message announces is `node_step`'s rule, tested in
+    `test_protocol.TestChooseContender`."""
 
     def test_hello_carries_no_target(self):
         with pytest.raises(ValueError, match="HELLO messages carry no target"):

@@ -143,10 +143,9 @@ def test_dense_edge_markov_runs_match_naive_interpreter(n, p_birth, p_death, laz
         naive.round(edges)
         assert engine_snapshot(config) == naive.snapshot(), f"round {i}"
         reached = Counter(
-            st.out_message.target
+            st.target
             for u, st in before.states.items()
-            if st.out_message.target is not None
-            and make_edge(u, st.out_message.target) in edges
+            if st.target is not None and make_edge(u, st.target) in edges
         )
         most_aimed = max(most_aimed, *reached.values(), 0)
         before = config

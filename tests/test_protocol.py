@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dynaforest.model import Action, Message, NodeState, Status
+from dynaforest.model import Action, NodeState, Status
 from dynaforest.protocol import choose_flip_target, initial_state, node_rng, node_step
 
-from naive_oracle import Msg, NaiveNode, engine_snapshot
+from naive_oracle import Message, Msg, NaiveNode, engine_snapshot, message_of
 from test_model import make_config, make_state
 
 T, N = Status.T, Status.N
@@ -44,7 +44,7 @@ class TestInitialState:
         st4 = initial_state(4)
         assert st4.score == 4
         assert st4.status is T
-        assert st4.out_message == Message(4, T, HELLO, None, 4)
+        assert message_of(st4) == Message(4, T, HELLO, None, 4)
 
     def test_empty_relations(self):
         st1 = initial_state(1)
@@ -102,7 +102,7 @@ class TestAdoptParent:
         out = step(state, [])
         assert out.status is T and out.parent is None
         assert out.children == frozenset()
-        assert out.out_message == Message(4, T, HELLO, None, 5)
+        assert message_of(out) == Message(4, T, HELLO, None, 5)
 
 
 class TestAdoptChild:
@@ -130,22 +130,27 @@ class TestChooseContender:
 
     def test_picks_greatest_token_score(self):
         out = step(make_state(1), [hello(8, T, 8), hello(4, T, 4)])
-        assert out.out_message == Message(1, N, SELECT, 8, 1)
+        assert message_of(out) == Message(1, N, SELECT, 8, 1)
 
     def test_no_token_holders_visible(self):
         out = step(make_state(1), [hello(2, N, 2), hello(3, N, 3)])
-        assert out.out_message == Message(1, T, HELLO, None, 1)
+        assert message_of(out) == Message(1, T, HELLO, None, 1)
 
     def test_circulating_token_stays_detectable(self):
         # a FLIP aimed at a third node still announces T
         out = step(make_state(1), [Message(7, T, FLIP, 3, 7)])
-        assert out.out_message == Message(1, N, SELECT, 7, 1)
+        assert message_of(out) == Message(1, N, SELECT, 7, 1)
+
+    def test_pending_select_hides_the_token(self):
+        # 9 still holds its token, but its SELECT to a third node announces N
+        out = step(make_state(1), [Message(9, N, SELECT, 5, 9), hello(4, T, 4)])
+        assert message_of(out) == Message(1, N, SELECT, 4, 1)
 
     def test_messages_targeted_at_us_are_excluded(self):
         # the FLIP aimed at us is a child adoption, not a merge offer
         out = step(make_state(1), [Message(7, T, FLIP, 1, 7), hello(2, T, 2)])
         assert out.children == frozenset({7}) and out.score == 7
-        assert out.out_message == Message(1, T, FLIP, 7, 7)
+        assert message_of(out) == Message(1, T, FLIP, 7, 7)
 
     @given(
         st.lists(
@@ -164,9 +169,9 @@ class TestChooseContender:
         candidates = [(s, sender) for sender, is_root, s in triples if is_root]
         if candidates and max(candidates)[0] > own_score:
             best_sender = max(candidates)[1]
-            assert out.out_message == Message(1, N, SELECT, best_sender, own_score)
+            assert message_of(out) == Message(1, N, SELECT, best_sender, own_score)
         else:
-            assert out.out_message == Message(1, T, HELLO, None, own_score)
+            assert message_of(out) == Message(1, T, HELLO, None, own_score)
 
 
 class TestChooseFlipTarget:
@@ -207,15 +212,15 @@ class TestPrepareMessage:
 
     def test_select_fields(self):
         out = step(make_state(2, score=2), [hello(8, T, 8)])
-        assert out.out_message == Message(2, N, SELECT, 8, 2)
+        assert message_of(out) == Message(2, N, SELECT, 8, 2)
 
     def test_flip_fields(self):
         out = step(make_state(8, children={2}, score=8), [hello(2, N, 2)])
-        assert out.out_message == Message(8, T, FLIP, 2, 8)
+        assert message_of(out) == Message(8, T, FLIP, 2, 8)
 
     def test_hello_copies_status(self):
         out = step(make_state(3, status=N, parent=4, score=3), [hello(4, T, 4)])
-        assert out.out_message == Message(3, N, HELLO, None, 3)
+        assert message_of(out) == Message(3, N, HELLO, None, 3)
 
 
 class TestNodeStep:
@@ -224,12 +229,12 @@ class TestNodeStep:
         out = node_step(prev, *delivery(prev, []), node_rng(0, 1))
         assert out.status is T and out.parent is None
         assert out.children == frozenset()
-        assert out.out_message == Message(1, T, HELLO, None, 1)
+        assert message_of(out) == Message(1, T, HELLO, None, 1)
 
     def test_root_spots_contender_and_prepares_select(self):
         prev = initial_state(1)
         out = node_step(prev, *delivery(prev, [hello(4, T, 4)]), node_rng(0, 1))
-        assert out.out_message == Message(1, N, SELECT, 4, 1)
+        assert message_of(out) == Message(1, N, SELECT, 4, 1)
 
     def test_token_regeneration_when_parent_disappears(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})
@@ -245,7 +250,7 @@ class TestNodeStep:
         assert out.status is N and out.parent == 2
         assert out.children == frozenset({7})
         assert out.score == 2
-        assert out.out_message == Message(5, N, HELLO, None, 2)
+        assert message_of(out) == Message(5, N, HELLO, None, 2)
 
     def test_purity_same_inputs_same_output(self):
         prev = make_state(2, children={4, 5})
@@ -258,9 +263,9 @@ class TestNodeStep:
         prev = make_state(8, children={2})
         inputs = delivery(prev, [hello(2, N, 2)])
         out = node_step(prev, *inputs, node_rng(0, 8), lazy=True, rest_probability=1.0)
-        assert out.out_message.action is HELLO
+        assert out.action is HELLO
         out = node_step(prev, *inputs, node_rng(0, 8), lazy=True, rest_probability=0.0)
-        assert out.out_message.action is FLIP
+        assert out.action is FLIP
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32))
@@ -309,7 +314,7 @@ class TestNodeStep:
         # parent never among children
         assert out.parent is None or out.parent not in out.children
         # no self-messaging
-        assert out.out_message.target != nid
+        assert out.target != nid
         # children are drawn from this round's senders
         assert out.children <= frozenset(m.sender for m in received)
 
@@ -359,7 +364,7 @@ def naive_step(prev, received, rng, lazy, rest_probability):
     node = NaiveNode(prev.id)
     node.status, node.parent = prev.status.value, prev.parent
     node.children, node.score = set(prev.children), prev.score
-    node.out_message = naive(prev.out_message)
+    node.out_message = naive(message_of(prev))
     node.mailbox = {m.sender: naive(m) for m in received}
     node.compute(rng, lazy, rest_probability)
     return (
@@ -435,11 +440,11 @@ class TestReuse:
             prev, *delivery(prev, received), node_rng(0, 3), lazy=True, rest_probability=1.0
         )
         assert out.parent is None
-        assert out.out_message == prev.out_message
+        assert message_of(out) == message_of(prev)
 
     def test_new_state_keeps_the_equal_message(self):
         prev = make_state(3, status=N, parent=8, children={5, 6})  # 6 left
         received = [hello(5, N, 5), hello(8, N, 8)]
         out = node_step(prev, *delivery(prev, received), node_rng(0, 3))
         assert out.children == frozenset({5})
-        assert out.out_message == prev.out_message
+        assert message_of(out) == message_of(prev)
