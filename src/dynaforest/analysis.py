@@ -15,16 +15,28 @@ The trees-per-component metric counts components with `component_count`, a
 union-find over E_i that needs no adjacency and stops once V is a single
 component.  It trusts that E_i lies within V, which the engine has already
 checked for every E_i a run yields (see `component_count`).
+
+A run's per-round metrics come in long runs of equal rounds, so they are
+stored run-length coded: one (first round, components, trees) entry per run,
+in three `array('q')` columns.  A summary's memory, and the bytes a worker
+pickles back, follow how often the metrics change, not how many rounds the
+run lasted.  `MetricsSummary.per_round` is a read-only view that yields each
+round's `RoundMetrics` from those columns.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, islice, repeat
 from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .model import _T, Configuration, EdgeSet, foreign_endpoint
 
@@ -56,13 +68,79 @@ class RoundMetrics(NamedTuple):
     ratio: float
 
 
+def _ratio(trees: int, components: int) -> float:
+    """Trees per component; an empty vertex set counts as vacuously optimal."""
+    return trees / components if components else 1.0
+
+
+class RoundRuns(Sequence):
+    """A read-only view of one run's per-round metrics, stored as runs.
+
+    Run k covers the rounds from index `starts[k]` up to the next run's start
+    (the last run up to `rounds`), each of them with `components[k]`
+    components and `trees[k]` trees.  Item i is round i + 1's `RoundMetrics`;
+    the rounds of one run yield the same object.
+    """
+
+    __slots__ = ("_starts", "_components", "_trees", "_rounds")
+
+    def __init__(self, starts: array, components: array, trees: array, rounds: int):
+        self._starts = starts
+        self._components = components
+        self._trees = trees
+        self._rounds = rounds
+
+    def __len__(self) -> int:
+        return self._rounds
+
+    def __getitem__(self, index: int) -> RoundMetrics:
+        i = operator.index(index)
+        if i < 0:
+            i += self._rounds
+        if not 0 <= i < self._rounds:
+            raise IndexError("round index out of range")
+        k = bisect_right(self._starts, i) - 1
+        components, trees = self._components[k], self._trees[k]
+        return RoundMetrics(components, trees, _ratio(trees, components))
+
+    def runs(self) -> Iterator[tuple]:
+        """(index of the first round, length, RoundMetrics) of each run, in order."""
+        starts = self._starts
+        ends = chain(islice(starts, 1, None), (self._rounds,))
+        for first, end, components, trees in zip(starts, ends, self._components, self._trees):
+            yield first, end - first, RoundMetrics(components, trees, _ratio(trees, components))
+
+    def __iter__(self) -> Iterator[RoundMetrics]:
+        for _, length, metrics in self.runs():
+            yield from repeat(metrics, length)
+
+    def ratios(self) -> Iterator[float]:
+        """Each round's ratio, in round order."""
+        return chain.from_iterable(repeat(m.ratio, length) for _, length, m in self.runs())
+
+
 @dataclass(frozen=True)
 class MetricsSummary:
-    """Per-round and aggregate trees-per-component statistics."""
+    """One run's trees-per-component statistics: its per-round metrics as
+    runs of equal rounds, and their aggregates.
 
-    per_round: tuple
+    `run_starts`, `run_components` and `run_trees` hold one entry per run of
+    equal rounds, as `RoundRuns` reads them; `rounds` is the run's length.
+    The columns are the summary's own copies, so rounds fed to the
+    accumulator after `summary()` never reach it.  `per_round` is a view over
+    them, built on each access.
+    """
+
+    rounds: int
+    run_starts: array
+    run_components: array
+    run_trees: array
     mean_trees_per_component: float
     fraction_optimal_rounds: float
+
+    @property
+    def per_round(self) -> RoundRuns:
+        return RoundRuns(self.run_starts, self.run_components, self.run_trees, self.rounds)
 
 
 def check_forest_consistency(config: Configuration) -> list:
@@ -244,7 +322,9 @@ def _certified(config: Configuration, edges: EdgeSet) -> bool:
       so a walk down the children from the roots reaches each node once,
       exactly the nodes whose chain ends at a root.  All nodes are reached
       only when no chain enters a cycle.  The arcs all lie in E_i, so the
-      checker's filter on them changes nothing.
+      checker's filter on them changes nothing.  The walk stops once it has
+      reached more than |V| nodes: exact entries never let it, and a child
+      cycle that the tests before it missed cannot make it spin.
     """
     states = config.states
     roots = []
@@ -268,12 +348,13 @@ def _certified(config: Configuration, edges: EdgeSet) -> bool:
         entries += len(st.children)
     if arcs != entries or {st.score for st in states.values()} != states.keys():
         return False
-    reached = 0
+    # more than |V| reached means a node was reached twice: stop there
+    reached, limit = 0, len(states)
     level = roots
-    while level:
+    while level and reached <= limit:
         reached += len(level)
         level = [c for u in level for c in states[u].children]
-    return reached == len(states)
+    return reached == limit
 
 
 def run_all_checks(config: Configuration, edges: EdgeSet) -> list:
@@ -329,64 +410,82 @@ def trees_per_component(
 
     Every component hosts at least one token on valid configurations, so the
     ratio is >= 1 whenever there is a component at all.  An empty vertex set
-    counts as vacuously optimal.  `components`, when given, is the known
-    component count of (V, edges) and is not recomputed.
+    counts as vacuously optimal (`_ratio`).  `components`, when given, is the
+    known component count of (V, edges) and is not recomputed.
     """
     trees = sum(1 for st in config.states.values() if st.status is _T)
     if components is None:
         components = component_count(config.states.keys(), edges)
-    ratio = trees / components if components else 1.0
-    return RoundMetrics(components, trees, ratio)
+    return RoundMetrics(components, trees, _ratio(trees, components))
 
 
 class MetricsAccumulator:
     """Streaming per-round metrics of one run, fed (i, E_i, C_i) once per round.
 
-    The component count is reused while the round's `edges` is the same
-    object as the previous round's, and a round whose metrics equal the
-    previous round's stores that same `RoundMetrics` object, so quiet
-    stretches of a long run cost one reference per round.
+    A round whose metrics equal the previous round's extends the current run;
+    any other round starts a new one, so the accumulator holds one entry per
+    run of equal rounds (see `MetricsSummary`), not one per round.  The
+    component count is reused while the round's `edges` is the same object as
+    the previous round's.
     """
 
     def __init__(self):
-        self.per_round: list = []
+        self._starts = array("q")
+        self._components = array("q")
+        self._trees = array("q")
+        self._rounds = 0
+        self._last: Optional[RoundMetrics] = None
         self._edges = None
 
     def __call__(self, i: int, edges: EdgeSet, config: Configuration) -> None:
-        last = self.per_round[-1] if self.per_round else None
+        last = self._last
         known = last.components if edges is self._edges else None
         metrics = trees_per_component(config, edges, known)
-        self.per_round.append(last if metrics == last else metrics)
+        if metrics != last:
+            self._starts.append(self._rounds)
+            self._components.append(metrics.components)
+            self._trees.append(metrics.trees)
+            self._last = metrics
+        self._rounds += 1
         self._edges = edges
 
     def summary(self) -> MetricsSummary:
-        if not self.per_round:
+        rounds = self._rounds
+        if not rounds:
             raise ValueError("no rounds observed")
-        ratios = [m.ratio for m in self.per_round]
-        optimal = sum(1 for m in self.per_round if m.trees == m.components)
+        starts, components, trees = (
+            array("q", column) for column in (self._starts, self._components, self._trees)
+        )
+        view = RoundRuns(starts, components, trees, rounds)
+        optimal = sum(length for _, length, m in view.runs() if m.trees == m.components)
         return MetricsSummary(
-            per_round=tuple(self.per_round),
-            mean_trees_per_component=mean(ratios),
-            fraction_optimal_rounds=optimal / len(self.per_round),
+            rounds=rounds,
+            run_starts=starts,
+            run_components=components,
+            run_trees=trees,
+            mean_trees_per_component=mean(view.ratios(), rounds),
+            fraction_optimal_rounds=optimal / rounds,
         )
 
 
-def mean(values: Sequence[float]) -> float:
+def mean(values: Iterable[float], count: Optional[int] = None) -> float:
     """The mean of `values`, added left to right, one float addition at a time.
 
+    `count` is the number of values, for an iterator; by default `len(values)`.
     Not `sum()`: since Python 3.12 it compensates the rounding of a float sum
     (Neumaier), so the same run would write other last digits on 3.12 than on
     3.10 and 3.11.  Plain addition gives the 3.10/3.11 bytes on every version.
     """
-    return reduce(add, values) / len(values)
+    return reduce(add, values) / (len(values) if count is None else count)
 
 
-def round_csv_lines(summary: MetricsSummary) -> list:
-    """CSV rows for one run: round,components,trees,ratio."""
-    lines = ["round,components,trees,ratio"]
-    for i, m in enumerate(summary.per_round, start=1):
-        lines.append(f"{i},{m.components},{m.trees},{m.ratio!r}")
-    return lines
+def round_csv_lines(summary: MetricsSummary) -> Iterator[str]:
+    """CSV rows for one run, one at a time: round,components,trees,ratio."""
+    yield "round,components,trees,ratio"
+    for first, length, m in summary.per_round.runs():
+        row = f",{m.components},{m.trees},{m.ratio!r}"
+        for i in range(first + 1, first + length + 1):
+            yield f"{i}{row}"
 
 
 def aggregate_csv_lines(rows: Sequence[tuple]) -> list:

@@ -345,7 +345,8 @@ def render_mean_ratio_svg(mean_per_round: Sequence[float]) -> str:
 class SeedResult:
     """What a seed hands back: its metrics summary, or the violations that
     ended it.  Its files are on disk, in the directory `run_one_seed` was
-    given, so no trace crosses from a worker to the parent."""
+    given, so no trace crosses from a worker to the parent, and the summary
+    holds one entry per run of equal rounds, not one per round."""
 
     seed: int
     summary: Optional[analysis.MetricsSummary]
@@ -362,8 +363,10 @@ def run_one_seed(config: RunConfig, seed: int) -> SeedResult:
     in a round where it changed.  With checkers on, every round is checked
     before it is written, and the first round with a violation ends the seed
     with that round's violations: its trace then holds the rounds before, and
-    no metrics file is written.  `cmd_run` points `config.out` at a staging
-    directory, so a seed's files reach `--out` only once every seed succeeded.
+    no metrics file is written.  The metrics CSV is written a line at a time
+    from the summary's runs of equal rounds.  `cmd_run` points `config.out` at
+    a staging directory, so a seed's files reach `--out` only once every seed
+    succeeded.
     """
     graph = build_graph(config, seed)
     metrics = analysis.MetricsAccumulator()
@@ -505,13 +508,13 @@ def _run_seeds(config: RunConfig, workers: int, out_dir: Path, staging: Path) ->
     _write_lines(out_dir / "aggregate.csv", analysis.aggregate_csv_lines(aggregate_rows))
 
     # every seed of one run has the same number of rounds
-    rounds = len(results[0].summary.per_round)
+    rounds = results[0].summary.rounds
     mean_overall = analysis.mean([r.summary.mean_trees_per_component for r in results])
     print(f"{len(results)} seeds x {rounds} rounds: mean trees/component {mean_overall:.4f}")
 
+    # each round's ratios across the seeds, in seed order
     per_round = [
-        analysis.mean([r.summary.per_round[i].ratio for r in results])
-        for i in range(rounds)
+        analysis.mean(ratios) for ratios in zip(*(r.summary.per_round.ratios() for r in results))
     ]
     (out_dir / "trees_per_component.svg").write_text(render_mean_ratio_svg(per_round))
     return EXIT_OK

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -304,6 +306,32 @@ def run_summary(graph, rounds, seed):
     return acc.summary()
 
 
+def fed_accumulator(metrics, acc=None):
+    """`acc`, or a new accumulator, fed one round per entry of `metrics`, the
+    metrics that `analysis.trees_per_component` returns in turn."""
+    acc = MetricsAccumulator() if acc is None else acc
+    returned = iter(metrics)
+    with mock.patch.object(
+        analysis, "trees_per_component", lambda config, edges, components=None: next(returned)
+    ):
+        for i in range(1, len(metrics) + 1):
+            acc(i, frozenset(), initial(1))
+    return acc
+
+
+# rounds drawn as runs of equal metrics; two adjacent runs may be equal
+round_metrics = st.builds(
+    lambda components, trees: analysis.RoundMetrics(
+        components, trees, trees / components if components else 1.0
+    ),
+    st.integers(0, 7),
+    st.integers(0, 9),
+)
+metric_feeds = st.lists(st.tuples(round_metrics, st.integers(1, 20)), min_size=1, max_size=30).map(
+    lambda runs: [m for m, length in runs for _ in range(length)]
+)
+
+
 class TestSummaries:
     def test_single_round_empty_edges(self):
         graph = topology.scripted([1, 2, 3], [[]])
@@ -316,13 +344,12 @@ class TestSummaries:
             MetricsAccumulator().summary()
 
     def test_alternating_ratio_arithmetic(self):
-        acc = MetricsAccumulator()
-        acc.per_round = [
+        acc = fed_accumulator([
             analysis.RoundMetrics(1, 1, 1.0),
             analysis.RoundMetrics(1, 2, 2.0),
             analysis.RoundMetrics(1, 1, 1.0),
             analysis.RoundMetrics(1, 2, 2.0),
-        ]
+        ])
         summary = acc.summary()
         assert summary.mean_trees_per_component == 1.5
         assert summary.fraction_optimal_rounds == 0.5
@@ -330,7 +357,7 @@ class TestSummaries:
     def test_csv_shapes(self):
         graph = topology.scripted([1, 2], [[(1, 2)]])
         summary = run_summary(graph, rounds=3, seed=0)
-        lines = analysis.round_csv_lines(summary)
+        lines = list(analysis.round_csv_lines(summary))
         assert lines[0] == "round,components,trees,ratio"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
@@ -368,7 +395,7 @@ class TestSummaries:
             acc(i, edges, config)
             builds.append(len(built))
             walks.append(list(walked))
-            assert acc.per_round[-1] == trees_per_component(config, edges)
+            assert acc.summary().per_round[-1] == trees_per_component(config, edges)
             built.clear()
             walked.clear()
         # the engine builds its adjacency when E_i differs from E_(i-1)
@@ -379,9 +406,40 @@ class TestSummaries:
         new_object = [True, False, True, True, False, True, True, True, False]
         assert [len(w) for w in walks] == [d + n for d, n in zip(differs, new_object)]
         assert all(e is edges for w, edges in zip(walks, schedule) for e in w)
-        # a round with the previous round's metrics stores the same record
-        for before, after in zip(acc.per_round, acc.per_round[1:]):
+        # a round with the previous round's metrics extends its run, so the
+        # view yields the same record for it
+        per_round = list(acc.summary().per_round)
+        for before, after in zip(per_round, per_round[1:]):
             assert (after is before) == (after == before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=metric_feeds, more=metric_feeds)
+def test_compact_summary_reads_as_the_rounds_fed(drawn, more):
+    acc = fed_accumulator(drawn)
+    summary = acc.summary()
+    rounds = len(drawn)
+    # one entry per run of equal rounds
+    assert len(summary.run_starts) == 1 + sum(a != b for a, b in zip(drawn, drawn[1:]))
+    assert summary.rounds == len(summary.per_round) == rounds
+    assert list(summary.per_round) == drawn
+    assert [summary.per_round[i] for i in range(-rounds, rounds)] == drawn + drawn
+    for out_of_range in (rounds, -rounds - 1):
+        with pytest.raises(IndexError):
+            summary.per_round[out_of_range]
+    ratios = [m.ratio for m in drawn]
+    assert summary.mean_trees_per_component.hex() == analysis.mean(ratios).hex()
+    assert summary.fraction_optimal_rounds == sum(m.trees == m.components for m in drawn) / rounds
+    assert list(analysis.round_csv_lines(summary)) == ["round,components,trees,ratio"] + [
+        f"{i},{m.components},{m.trees},{m.ratio!r}" for i, m in enumerate(drawn, start=1)
+    ]
+    assert pickle.loads(pickle.dumps(summary)) == summary
+    assert fed_accumulator(drawn).summary() == summary
+    # a summary holds its own columns: rounds fed after it do not reach it
+    fed_accumulator(more, acc)
+    assert list(summary.per_round) == drawn
+    assert summary == fed_accumulator(drawn).summary()
+    assert list(acc.summary().per_round) == drawn + more
 
 
 class TestCheckerHook:

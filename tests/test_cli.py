@@ -2,6 +2,7 @@ import argparse
 import errno
 import multiprocessing
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -391,6 +392,23 @@ class TestCmdRun:
         assert len(names) == 10 and "trees_per_component.svg" in names
         for name in names:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_seed_order_does_not_reach_the_files(self, tmp_path, monkeypatch, workers):
+        contacts = tmp_path / "contacts.txt"
+        write_contacts(contacts, seconds=30, nodes=9)
+        monkeypatch.setenv("DYNAFOREST_WORKERS", workers)
+        outs = []
+        for seeds in ("0-2", "2,0,1"):
+            outs.append(tmp_path / seeds)
+            assert main(["run", "--adversary", "trace", "--trace-file", str(contacts),
+                         "--seeds", seeds, "--out", str(outs[-1])]) == 0
+        ordered, shuffled = outs
+        names = sorted(p.name for p in ordered.iterdir())
+        assert names == sorted(p.name for p in shuffled.iterdir())
+        assert len(names) == 8 and "aggregate.csv" in names and "trees_per_component.svg" in names
+        for name in names:
+            assert (ordered / name).read_bytes() == (shuffled / name).read_bytes(), name
 
     def test_scripted_adversary_from_file(self, tmp_path):
         script = tmp_path / "script.txt"
@@ -1233,10 +1251,24 @@ class TestWithoutNumpy:
         assert "Traceback" not in done.stderr
 
 
+def test_a_seed_result_grows_with_its_runs_not_its_rounds(tmp_path):
+    """The summary a worker pickles back holds one entry per run of equal
+    rounds, whatever the number of rounds in each run."""
+    contacts = tmp_path / "contacts.txt"
+    write_contacts(contacts, seconds=300)
+    config = RunConfig(adversary="trace", trace_file=str(contacts), checkers=False,
+                       out=str(tmp_path))
+    result = cli.run_one_seed(config, 0)
+    runs = len(result.summary.run_starts)
+    assert result.summary.rounds == 3000 and runs < 3000
+    assert len(pickle.dumps(result)) <= 32 * runs + 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_long_replay_holds_far_less_than_its_trace(tmp_path):
-    """A seed streams its trace to disk as it runs, so 100x the rounds costs
-    far less than the trace they write: what grows is the per-round metrics."""
+    """A seed streams its trace to disk as it runs, and holds its per-round
+    metrics as runs of equal rounds, so 100x the rounds costs far less than
+    the trace they write."""
     peak_kib = {}
     for rounds in (100, 10_000):
         contacts, out = tmp_path / f"contacts{rounds}.txt", tmp_path / f"out{rounds}"

@@ -1,7 +1,7 @@
 """Golden hashes of end-to-end outputs.
 
-The sha256 of every trace and CSV from one small lazy `cli run`, of one
-non-lazy contact replay, of the `replay-figure fig2` table, and of the
+The sha256 of every trace, CSV and plot from one small lazy `cli run` and
+from one non-lazy contact replay, of the `replay-figure fig2` table, and of the
 checkers' verdicts on a seeded corpus of corrupted configurations are pinned
 here, with the `aggregate.csv` of a replay whose means depend on how floats
 are added.  A refactor that is meant to keep outputs byte-identical must keep
@@ -49,6 +49,8 @@ RUN_HASHES = {
         "b4cf90c173196b72e60eb904bc8695de450efa9ea56a249327637317fe6e1bd7",
     "trace_seed2.txt":
         "8b8a60c7a5cc43be0069c2962a00e4baa0ea68736b7415158cd8f0fad6f72e91",
+    "trees_per_component.svg":
+        "f5d4e0201ec0c3a236650b318814b7dc19939f332d7bc4c2e61b1f8f128efb6b",
 }
 
 PER_ROUND_RUN_HASHES = {
@@ -66,6 +68,8 @@ PER_ROUND_RUN_HASHES = {
         "df3a878eaf9be92abdbe06b81dbfb338287f10f59d99bb1d6f8c3ed7d1fb4ed5",
     "trace_seed2.txt":
         "3bd2fae4f66f0a4b605244108e850e37876aead3a610ad908ba0bfa65c46392a",
+    "trees_per_component.svg":
+        "b5f4ed1b8fe816318e9f833994ca3a5b7147ff467c0b9a3fed4f4c3452eb9f52",
 }
 
 # A non-lazy replay of 12 nodes over 300 rounds: two-node pairs, one of them
@@ -101,6 +105,8 @@ CONTACT_RUN_HASHES = {
         "9d5d520f340ccb2ca3fbd08933f2a7a3e2b5edd39bcccbc66431dde4e68fb87e",
     "trace_seed2.txt":
         "007aa06870e0d2cb060926d5527b090db0c14823e62da097c430ba554768d113",
+    "trees_per_component.svg":
+        "013d4c1d69a591e2ddfc952c58f693a5b5b96c0cab3864b4ce288e80b7bd28af",
 }
 
 # A non-lazy replay of 10 nodes over 290 rounds whose per-round ratios (7/6,
@@ -333,7 +339,7 @@ def test_written_trace_reads_back_every_round(tmp_path_factory, nodes, p, rounds
     result = cli.run_one_seed(config, seed)
     path = out / f"trace_seed{seed}.txt"
     metrics_lines = (out / f"metrics_seed{seed}.csv").read_text().splitlines()
-    assert metrics_lines == analysis.round_csv_lines(result.summary)
+    assert metrics_lines == list(analysis.round_csv_lines(result.summary))
     stored = list(read_trace_file(path))
     graph = cli.build_graph(config, seed)
     expected = list(engine.iter_run(graph, rounds, seed, lazy))
